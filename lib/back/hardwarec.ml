@@ -103,14 +103,16 @@ let compile ?(knobs = Backend.default_knobs) ?resources
           Array.append sched.Schedule.step_delay
             (Array.make (min_required - sched.Schedule.num_steps) 0.) }
   in
+  (* one schedule per block, shared by the constraint report and the FSMD *)
+  let schedules = Array.map schedule_block func.Cir.fn_blocks in
   let statuses =
     List.concat_map
-      (fun b ->
-        let sched = schedule_block (Cir.block func b) in
-        Constrain.check constraints ~block:b sched)
+      (fun b -> Constrain.check constraints ~block:b schedules.(b))
       blocks_with_constraints
   in
-  let fsmd = Fsmd.of_func func ~schedule_block in
+  let fsmd =
+    Fsmd.of_func func ~schedule_block:(fun blk -> schedules.(blk.Cir.b_id))
+  in
   let engine = lazy (Fsmdcomp.create fsmd) in
   let run ?vcd ?sim args = Fsmd_common.simulate ~engine ?vcd ?sim fsmd ~args in
   let elaborated = lazy (Rtlgen.elaborate fsmd) in

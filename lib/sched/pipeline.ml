@@ -129,88 +129,193 @@ let extract_loop (func : Cir.func) (latency : latency_model) : loop_body =
           | None -> ())
       (Cir.uses_of instrs.(i))
   done;
-  (* loop-carried memory edges: store in one iteration orders with accesses
-     of the same region in the next *)
+  (* loop-carried memory edges: a store in one iteration orders with every
+     access of its region up to and including itself in the next.  The
+     accesses are grouped per region as the body is walked, so the cost is
+     the number of edges emitted, in the same order as a scan over every
+     (store, access) pair. *)
+  let accesses = Hashtbl.create 8 in (* region -> accesses so far, newest first *)
   for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      match (Cir.memory_access instrs.(i), Cir.memory_access instrs.(j)) with
-      | Some (ri, `Write), Some (rj, _) when ri = rj && j <= i ->
+    match Cir.memory_access instrs.(i) with
+    | Some (region, dir) ->
+      let seen =
+        i :: Option.value (Hashtbl.find_opt accesses region) ~default:[]
+      in
+      Hashtbl.replace accesses region seen;
+      if dir = `Write then begin
+        let latency = max 1 (latency.of_instr instrs.(i)) in
         edges :=
-          { from_i = i; to_i = j; latency = max 1 (latency.of_instr instrs.(i));
-            distance = 1 }
-          :: !edges
-      | _ -> ()
-    done
+          List.rev_append
+            (List.rev_map
+               (fun j -> { from_i = i; to_i = j; latency; distance = 1 })
+               seen)
+            !edges
+      end
+    | None -> ()
   done;
   { instrs; edges = !edges }
 
-(* Can every instruction be assigned a start time sigma with
-   sigma(v) >= sigma(u) + latency - II*distance for every edge u->v?
-   Standard longest-path feasibility (Bellman-Ford over the constraint
-   graph); infeasible iff a positive cycle exists. *)
-let feasible body ~ii =
-  let n = Array.length body.instrs in
-  if n = 0 then true
-  else begin
-    let dist = Array.make n 0 in
-    let changed = ref true in
-    let rounds = ref 0 in
-    while !changed && !rounds <= n + 1 do
-      changed := false;
-      incr rounds;
-      List.iter
-        (fun e ->
-          let bound = dist.(e.from_i) + e.latency - (ii * e.distance) in
-          if bound > dist.(e.to_i) then begin
-            dist.(e.to_i) <- bound;
-            changed := true
-          end)
-        body.edges
-    done;
-    not !changed
-  end
+(* The constraint graph of a body for start-time problems: edges that
+   run forward in body order at distance 0 (every intra-iteration edge,
+   since Dep builds them from an earlier to a later instruction), sorted
+   by source so one pass in that order settles every path made of them,
+   and the rest (the loop-carried edges).  [rounds] bounds the rounds of
+   {!start_times}: a simple path enters each target of a back edge at
+   most once. *)
+type constraints = {
+  size : int;
+  forward : dep_edge array;
+  back : dep_edge array;
+  rounds : int;
+}
+
+let constraints_of size edges =
+  let is_forward e = e.distance = 0 && e.from_i < e.to_i in
+  let forward = Array.of_list (List.filter is_forward edges) in
+  Array.stable_sort (fun a b -> compare a.from_i b.from_i) forward;
+  let back = List.filter (fun e -> not (is_forward e)) edges in
+  let targets = List.sort_uniq compare (List.map (fun e -> e.to_i) back) in
+  { size; forward; back = Array.of_list back; rounds = List.length targets + 1 }
+
+(* The least start times sigma >= 0 with
+   sigma(v) >= sigma(u) + latency - II*distance for every edge u->v, or
+   None when a positive cycle means there are none.  One forward pass,
+   then rounds of (back edges, forward pass) until nothing moves: round k
+   settles every path with k back edges, so a graph without a positive
+   cycle is settled within [rounds] rounds — the same least fixpoint as
+   Bellman-Ford from zero, at O(rounds * edges) instead of
+   O(size * edges). *)
+let start_times c ~ii =
+  let sigma = Array.make c.size 0 in
+  let relax edges =
+    Array.fold_left
+      (fun changed e ->
+        let bound = sigma.(e.from_i) + e.latency - (ii * e.distance) in
+        if bound > sigma.(e.to_i) then begin
+          sigma.(e.to_i) <- bound;
+          true
+        end
+        else changed)
+      false edges
+  in
+  ignore (relax c.forward);
+  let rec settle round =
+    let moved_back = relax c.back in
+    let moved_forward = relax c.forward in
+    if not (moved_back || moved_forward) then Some sigma
+    else if round >= c.rounds then None
+    else settle (round + 1)
+  in
+  settle 1
+
+(* Strongly connected components of the dependence graph (Tarjan), as a
+   component id per instruction. *)
+let components n edges =
+  let succs = Array.make n [] in
+  List.iter (fun e -> succs.(e.from_i) <- e.to_i :: succs.(e.from_i)) edges;
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Array.make n false and comp = Array.make n (-1) in
+  let stack = ref [] and next_index = ref 0 and next_comp = ref 0 in
+  let rec visit v =
+    index.(v) <- !next_index;
+    low.(v) <- !next_index;
+    incr next_index;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    List.iter
+      (fun w ->
+        if index.(w) < 0 then begin
+          visit w;
+          low.(v) <- min low.(v) low.(w)
+        end
+        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
+      succs.(v);
+    if low.(v) = index.(v) then begin
+      let rec pop () =
+        match !stack with
+        | w :: rest ->
+          stack := rest;
+          on_stack.(w) <- false;
+          comp.(w) <- !next_comp;
+          if w <> v then pop ()
+        | [] -> ()
+      in
+      pop ();
+      incr next_comp
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then visit v
+  done;
+  (comp, !next_comp)
 
 (** Recurrence-constrained minimum II (smallest II that satisfies all
-    dependence cycles). *)
+    dependence cycles).  Every cycle lies inside one strongly connected
+    component and crosses a loop-carried edge, so only components with an
+    internal distance >= 1 edge are checked, each on its own edges.  A
+    cycle's weight only falls as II grows, so feasibility is monotone and
+    each component's bound is found by binary search between the bound so
+    far and the sum of its nodes' largest out-latencies, where every
+    simple cycle is feasible. *)
 let rec_mii body =
-  let rec search ii = if feasible body ~ii then ii else search (ii + 1) in
-  search 1
+  let n = Array.length body.instrs in
+  let comp, ncomps = components n body.edges in
+  (* renumber each component's nodes 0.. in body order, so its forward
+     edges still run forward *)
+  let size = Array.make ncomps 0 and local = Array.make n 0 in
+  for v = 0 to n - 1 do
+    local.(v) <- size.(comp.(v));
+    size.(comp.(v)) <- size.(comp.(v)) + 1
+  done;
+  let internal = Array.make ncomps [] in
+  List.iter
+    (fun e ->
+      let c = comp.(e.from_i) in
+      if c = comp.(e.to_i) then
+        internal.(c) <-
+          { e with from_i = local.(e.from_i); to_i = local.(e.to_i) }
+          :: internal.(c))
+    body.edges;
+  let best = ref 1 in
+  Array.iteri
+    (fun c edges ->
+      if List.exists (fun e -> e.distance >= 1) edges then begin
+        let cons = constraints_of size.(c) edges in
+        let feasible ii = Option.is_some (start_times cons ~ii) in
+        if not (feasible !best) then begin
+          let out_latency = Array.make size.(c) 0 in
+          List.iter
+            (fun e ->
+              out_latency.(e.from_i) <- max out_latency.(e.from_i) e.latency)
+            edges;
+          let rec search lo hi =
+            if lo >= hi then lo
+            else
+              let mid = lo + ((hi - lo) / 2) in
+              if feasible mid then search lo mid else search (mid + 1) hi
+          in
+          best :=
+            search (!best + 1)
+              (max (!best + 1) (Array.fold_left ( + ) 0 out_latency))
+        end
+      end)
+    internal;
+  !best
 
 (** Resource-constrained minimum II for a resource allocation. *)
 let res_mii (resources : Schedule.resources) body =
   let counts = Hashtbl.create 8 in
   Array.iter
     (fun instr ->
-      let cls = Schedule.class_of_instr instr in
-      Hashtbl.replace counts cls
-        (1 + Option.value (Hashtbl.find_opt counts cls) ~default:0))
-    body.instrs;
-  let mem_counts = Hashtbl.create 8 in
-  Array.iter
-    (fun instr ->
-      match Cir.memory_access instr with
-      | Some key ->
-        Hashtbl.replace mem_counts key
-          (1 + Option.value (Hashtbl.find_opt mem_counts key) ~default:0)
-      | None -> ())
+      let key, cap = Schedule.resource_of resources instr in
+      let count = Option.value (Hashtbl.find_opt counts key) ~default:(0, cap) in
+      Hashtbl.replace counts key (fst count + 1, cap))
     body.instrs;
   let ceil_div a b = (a + b - 1) / b in
-  let from_classes =
-    Hashtbl.fold
-      (fun cls count acc ->
-        let cap = Schedule.capacity resources cls in
-        if cap = max_int then acc else max acc (ceil_div count cap))
-      counts 1
-  in
   Hashtbl.fold
-    (fun (_, dir) count acc ->
-      let cap =
-        match dir with
-        | `Read -> max 1 resources.mem_read_ports
-        | `Write -> max 1 resources.mem_write_ports
-      in
+    (fun _ (count, cap) acc ->
       if cap = max_int then acc else max acc (ceil_div count cap))
-    mem_counts from_classes
+    counts 1
 
 type result = {
   ii : int; (* achieved initiation interval *)
@@ -222,10 +327,11 @@ type result = {
   fallback : bool; (* II search diverged; this is the list schedule *)
 }
 
-(* II values above this are not pipelining in any useful sense (and the
-   search is linear, so a huge ResMII — e.g. thousands of loads through
-   one memory port — would scan thousands of IIs); give up and fall back
-   to the sequential list schedule instead. *)
+(* II values above this are not pipelining in any useful sense: the
+   search raises II one step per failed placement, and a loop whose
+   minimum II is past the limit (e.g. thousands of loads through one
+   memory port) is not tried at all.  Such a loop falls back to the
+   sequential list schedule instead. *)
 let ii_search_limit = 4096
 
 (* How many loops fell back; lib/sched can't see Obs.Metrics, so the
@@ -248,29 +354,24 @@ let modulo_schedule ?(resources = Schedule.default_allocation)
   List.iter
     (fun e -> preds.(e.to_i) <- e :: preds.(e.to_i))
     body.edges;
+  let cons = constraints_of n body.edges in
+  let resource = Array.map (Schedule.resource_of resources) body.instrs in
   let try_ii ii =
     (* ASAP start times satisfying sigma(v) >= sigma(u)+lat-II*dist,
        then greedy modulo resource assignment scanning slots. *)
-    let sigma = Array.make n 0 in
-    let changed = ref true in
-    let rounds = ref 0 in
-    while !changed && !rounds <= n + 2 do
-      changed := false;
-      incr rounds;
-      List.iter
-        (fun e ->
-          let bound = sigma.(e.from_i) + e.latency - (ii * e.distance) in
-          if bound > sigma.(e.to_i) then begin
-            sigma.(e.to_i) <- bound;
-            changed := true
-          end)
-        body.edges
-    done;
-    if !changed then None (* positive cycle: II too small *)
-    else begin
-      (* resource table: class/mem usage per modulo slot *)
-      let usage = Hashtbl.create 16 in
-      let get key = Option.value (Hashtbl.find_opt usage key) ~default:0 in
+    match start_times cons ~ii with
+    | None -> None (* positive cycle: II too small *)
+    | Some sigma ->
+      (* resource table: per bounded resource, its use in each modulo slot *)
+      let tables = Hashtbl.create 8 in
+      let table key =
+        match Hashtbl.find_opt tables key with
+        | Some t -> t
+        | None ->
+          let t = Array.make ii 0 in
+          Hashtbl.add tables key t;
+          t
+      in
       let ok = ref true in
       let order =
         List.sort
@@ -281,16 +382,6 @@ let modulo_schedule ?(resources = Schedule.default_allocation)
       let placed = Array.make n false in
       List.iter
         (fun i ->
-          let instr = body.instrs.(i) in
-          let cls = Schedule.class_of_instr instr in
-          let cap = Schedule.capacity resources cls in
-          let mem = Cir.memory_access instr in
-          let mem_cap =
-            match mem with
-            | Some (_, `Read) -> max 1 resources.mem_read_ports
-            | Some (_, `Write) -> max 1 resources.mem_write_ports
-            | None -> max_int
-          in
           (* earliest start given already-placed predecessors *)
           let earliest =
             List.fold_left
@@ -300,28 +391,19 @@ let modulo_schedule ?(resources = Schedule.default_allocation)
                 else acc)
               sigma.(i) preds.(i)
           in
+          let key, cap = resource.(i) in
+          let use = if cap = max_int then None else Some (table key) in
           let rec place t tries =
             if tries > ii then ok := false
             else begin
               let slot = ((t mod ii) + ii) mod ii in
-              let class_ok = cap = max_int || get (`C (cls, slot)) < cap in
-              let mem_ok =
-                match mem with
-                | None -> true
-                | Some (region, dir) ->
-                  get (`M (region, dir, slot)) < mem_cap
+              let free =
+                match use with Some used -> used.(slot) < cap | None -> true
               in
-              if class_ok && mem_ok then begin
+              if free then begin
                 final.(i) <- t;
                 placed.(i) <- true;
-                if cap <> max_int then
-                  Hashtbl.replace usage (`C (cls, slot)) (get (`C (cls, slot)) + 1);
-                (match mem with
-                | Some (region, dir) ->
-                  Hashtbl.replace usage
-                    (`M (region, dir, slot))
-                    (get (`M (region, dir, slot)) + 1)
-                | None -> ())
+                Option.iter (fun used -> used.(slot) <- used.(slot) + 1) use
               end
               else place (t + 1) (tries + 1)
             end
@@ -329,7 +411,6 @@ let modulo_schedule ?(resources = Schedule.default_allocation)
           place earliest 0)
         order;
       if !ok then Some final else None
-    end
   in
   let rec search ii =
     if ii > ii_limit then None
@@ -340,10 +421,6 @@ let modulo_schedule ?(resources = Schedule.default_allocation)
   in
   let start_ii = max rmii smii in
   (* sequential baseline: list schedule of one iteration, no chaining *)
-  let seq =
-    Array.to_list body.instrs
-    |> List.fold_left (fun acc i -> acc + max 1 (latency.of_instr i)) 0
-  in
   let seq_scheduled =
     (* with ILP inside the iteration but no overlap across iterations *)
     let sched =
@@ -353,7 +430,6 @@ let modulo_schedule ?(resources = Schedule.default_allocation)
     in
     max sched.Schedule.num_steps 1
   in
-  ignore seq;
   match search start_ii with
   | Some (ii, final) ->
     let schedule_length =

@@ -30,10 +30,6 @@ val extract_loop : Cir.func -> latency_model -> loop_body
     are dropped (modulo variable expansion renames them away).
     @raise Irregular when the body branches internally. *)
 
-val feasible : loop_body -> ii:int -> bool
-(** Does a schedule satisfying all dependence cycles exist at this
-    initiation interval? *)
-
 val rec_mii : loop_body -> int
 (** Recurrence-constrained minimum II. *)
 

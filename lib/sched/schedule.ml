@@ -93,11 +93,43 @@ let capacity resources cls =
   | Logic -> max_int
   | Mem -> max_int (* per-region ports handled separately *)
 
-(** Resource-constrained list scheduling with chaining of [instrs] (one
-    basic block).  Priority is longest path to a sink. *)
-let list_schedule (func : Cir.func) (resources : resources)
-    (instrs : Cir.instr list) : schedule =
-  let g = Dep.of_instrs instrs in
+(* The one resource an instruction competes for within a step: its class,
+   or for a memory access its (region, direction) port — class [Mem] is
+   unbounded, so the port is a memory op's only limit. *)
+type resource = Class of resource_class | Port of int * [ `Read | `Write ]
+
+let resource_of resources instr =
+  match Cir.memory_access instr with
+  | Some (region, `Read) -> (Port (region, `Read), max 1 resources.mem_read_ports)
+  | Some (region, `Write) ->
+    (Port (region, `Write), max 1 resources.mem_write_ports)
+  | None ->
+    let cls = class_of_instr instr in
+    (Class cls, capacity resources cls)
+
+(* A resource's use in the current step and the priority ranks of the
+   ready ops waiting for it. *)
+module Ranks = Set.Make (Int)
+
+type bucket = { cap : int; mutable used : int; mutable ready : Ranks.t }
+
+(* List scheduling over a prebuilt dependence graph.
+
+   Ready-list formulation.  Each op counts its unreleased predecessor
+   edges (duplicates included); it joins its bucket's ready set when the
+   count reaches zero.  A step runs in rounds: every ready op is offered
+   in priority order (height descending, index ascending), and ops
+   released by a placement wait for the next round, never the current
+   one.  A non-forwarding store->load edge is released only when the
+   step closes, so the load lands in a later step.  Within a round, ops
+   interact only through their own bucket's counter, so each bucket is
+   drained on its own and stops at the first op it cannot hold; an op
+   that fits its bucket but misses the chain budget waits out the step.
+   Every op is offered at most twice, so a block costs O((n + e) log n)
+   plus one visit per bucket per step.  The placements are those of
+   rescanning every instruction each round (test/sched_ref.ml). *)
+let schedule_graph (func : Cir.func) (resources : resources) (g : Dep.graph)
+    : schedule =
   let n = Array.length g.Dep.instrs in
   if n = 0 then { steps = [||]; num_steps = 0; step_delay = [||] }
   else begin
@@ -108,104 +140,101 @@ let list_schedule (func : Cir.func) (resources : resources)
         (fun (s, _) -> if height.(s) + 1 > height.(i) then height.(i) <- height.(s) + 1)
         g.Dep.succs.(i)
     done;
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> compare height.(b) height.(a)) order;
+    let rank = Array.make n 0 in
+    Array.iteri (fun r i -> rank.(i) <- r) order;
+    let delay = Array.map (instr_delay func) g.Dep.instrs in
+    let mem = Array.map Cir.memory_access g.Dep.instrs in
+    let buckets = Hashtbl.create 8 in
+    let bucket_of =
+      Array.map
+        (fun instr ->
+          let key, cap = resource_of resources instr in
+          match Hashtbl.find_opt buckets key with
+          | Some b -> b
+          | None ->
+            let b = { cap; used = 0; ready = Ranks.empty } in
+            Hashtbl.add buckets key b;
+            b)
+        g.Dep.instrs
+    in
+    let all_buckets = Hashtbl.fold (fun _ b acc -> b :: acc) buckets [] in
+    let make_ready i =
+      let b = bucket_of.(i) in
+      b.ready <- Ranks.add rank.(i) b.ready
+    in
+    let pending = Array.map List.length g.Dep.preds in
+    let release i =
+      pending.(i) <- pending.(i) - 1;
+      pending.(i) = 0
+    in
+    let crosses_step p s =
+      (not resources.mem_forwarding)
+      && (match mem.(p) with Some (_, `Write) -> true | _ -> false)
+      && match mem.(s) with Some (_, `Read) -> true | _ -> false
+    in
+    Array.iteri (fun i k -> if k = 0 then make_ready i) pending;
     let steps = Array.make n (-1) in
     let arrival = Array.make n 0. in (* completion time within its step *)
     let scheduled = ref 0 in
     let step = ref 0 in
     let step_delays = ref [] in
     while !scheduled < n do
-      (* per-step usage *)
-      let usage = Hashtbl.create 8 in
-      let used cls =
-        match Hashtbl.find_opt usage cls with Some k -> k | None -> 0
-      in
-      let mem_usage = Hashtbl.create 8 in (* (region, dir) -> count *)
-      let mem_used key =
-        match Hashtbl.find_opt mem_usage key with Some k -> k | None -> 0
-      in
-      let placed_this_step = ref true in
-      while !placed_this_step do
-        placed_this_step := false;
-        (* candidates in priority order *)
-        let candidates =
-          List.init n Fun.id
-          |> List.filter (fun i ->
-                 steps.(i) = -1
-                 && List.for_all
-                      (fun (p, kind) ->
-                        steps.(p) <> -1
-                        &&
-                        match kind with
-                        | Dep.Raw -> steps.(p) <= !step
-                        | Dep.War | Dep.Waw -> steps.(p) <= !step
-                        | Dep.Mem ->
-                          (* store->load needs a step boundary unless the
-                             memory forwards; other mem edges only order *)
-                          let store_to_load =
-                            (match Cir.memory_access g.Dep.instrs.(p) with
-                            | Some (_, `Write) -> true
-                            | Some (_, `Read) | None -> false)
-                            &&
-                            match Cir.memory_access g.Dep.instrs.(i) with
-                            | Some (_, `Read) -> true
-                            | Some (_, `Write) | None -> false
-                          in
-                          if store_to_load && not resources.mem_forwarding
-                          then steps.(p) < !step
-                          else steps.(p) <= !step)
-                      g.Dep.preds.(i))
-          |> List.sort (fun a b -> compare height.(b) height.(a))
+      List.iter (fun b -> b.used <- 0) all_buckets;
+      let max_arrival = ref 0. in
+      let next_round = ref [] in
+      let chain_missed = ref [] in (* back in the ready set next step *)
+      let crossing = ref [] in (* store->load edges released next step *)
+      let offer i =
+        (* earliest start within this step given chained RAW deps *)
+        let ready_time =
+          List.fold_left
+            (fun acc (p, kind) ->
+              match kind with
+              | Dep.Raw when steps.(p) = !step -> Float.max acc arrival.(p)
+              | Dep.Raw | Dep.War | Dep.Waw | Dep.Mem -> acc)
+            0. g.Dep.preds.(i)
         in
-        List.iter
-          (fun i ->
-            if steps.(i) = -1 then begin
-              let instr = g.Dep.instrs.(i) in
-              let cls = class_of_instr instr in
-              (* earliest start within this step given chained RAW deps *)
-              let ready_time =
-                List.fold_left
-                  (fun acc (p, kind) ->
-                    match kind with
-                    | Dep.Raw when steps.(p) = !step ->
-                      Float.max acc arrival.(p)
-                    | Dep.Raw | Dep.War | Dep.Waw | Dep.Mem -> acc)
-                  0. g.Dep.preds.(i)
-              in
-              let finish = ready_time +. instr_delay func instr in
-              let fits_chain = finish <= resources.chain_budget in
-              let fits_resource = used cls < capacity resources cls in
-              let fits_mem =
-                match Cir.memory_access instr with
-                | Some (region, `Read) ->
-                  mem_used (region, `Read) < max 1 resources.mem_read_ports
-                | Some (region, `Write) ->
-                  mem_used (region, `Write) < max 1 resources.mem_write_ports
-                | None -> true
-              in
-              (* an op too slow for any budget still gets a step alone *)
-              let oversized = instr_delay func instr > resources.chain_budget in
-              let chain_ok = fits_chain || (oversized && ready_time = 0.) in
-              if chain_ok && fits_resource && fits_mem then begin
-                steps.(i) <- !step;
-                arrival.(i) <- finish;
-                Hashtbl.replace usage cls (used cls + 1);
-                (match Cir.memory_access instr with
-                | Some (region, dir) ->
-                  Hashtbl.replace mem_usage (region, dir)
-                    (mem_used (region, dir) + 1)
-                | None -> ());
-                incr scheduled;
-                placed_this_step := true
-              end
-            end)
-          candidates
-      done;
-      let max_arrival =
-        Array.to_list arrival
-        |> List.mapi (fun i a -> if steps.(i) = !step then a else 0.)
-        |> List.fold_left Float.max 0.
+        let finish = ready_time +. delay.(i) in
+        (* an op too slow for any budget still gets a step alone *)
+        let oversized = delay.(i) > resources.chain_budget in
+        if finish <= resources.chain_budget || (oversized && ready_time = 0.)
+        then begin
+          steps.(i) <- !step;
+          arrival.(i) <- finish;
+          max_arrival := Float.max !max_arrival finish;
+          let b = bucket_of.(i) in
+          b.used <- b.used + 1;
+          incr scheduled;
+          List.iter
+            (fun (s, kind) ->
+              if kind = Dep.Mem && crosses_step i s then
+                crossing := s :: !crossing
+              else if release s then next_round := s :: !next_round)
+            g.Dep.succs.(i)
+        end
+        else chain_missed := i :: !chain_missed
       in
-      step_delays := max_arrival :: !step_delays;
+      let rec drain b =
+        if b.used < b.cap then
+          match Ranks.min_elt_opt b.ready with
+          | None -> ()
+          | Some r ->
+            b.ready <- Ranks.remove r b.ready;
+            offer order.(r);
+            drain b
+      in
+      List.iter drain all_buckets;
+      while !next_round <> [] do
+        let fresh = !next_round in
+        next_round := [];
+        List.iter make_ready fresh;
+        List.iter (fun i -> drain bucket_of.(i)) fresh
+      done;
+      step_delays := !max_arrival :: !step_delays;
+      List.iter make_ready !chain_missed;
+      List.iter (fun s -> if release s then make_ready s) !crossing;
       incr step
     done;
     (* drop trailing empty steps (can happen if last iteration placed none) *)
@@ -217,16 +246,16 @@ let list_schedule (func : Cir.func) (resources : resources)
         Array.sub a 0 (min num_steps (Array.length a)) }
   end
 
+(** Resource-constrained list scheduling with chaining of [instrs] (one
+    basic block).  Priority is longest path to a sink. *)
+let list_schedule func resources instrs =
+  schedule_graph func resources (Dep.of_instrs instrs)
+
 (** ASAP schedule: list scheduling with no resource limits. *)
 let asap func instrs = list_schedule func unconstrained instrs
 
-(** ALAP schedule derived from ASAP by pushing every op as late as its
-    successors allow within the ASAP makespan.  Uses the same dependence
-    model as the unconstrained ASAP: RAW chains may share a step; only
-    store->load pairs need a step boundary. *)
-let alap func instrs =
-  let g = Dep.of_instrs instrs in
-  let base = asap func instrs in
+(* Latest steps within the makespan of [base], the ASAP schedule of [g]. *)
+let alap_of (g : Dep.graph) (base : schedule) =
   let n = Array.length g.Dep.instrs in
   let latest = Array.make n (max 0 (base.num_steps - 1)) in
   let is_store i =
@@ -251,10 +280,20 @@ let alap func instrs =
   done;
   { base with steps = latest }
 
+(** ALAP schedule derived from ASAP by pushing every op as late as its
+    successors allow within the ASAP makespan.  Uses the same dependence
+    model as the unconstrained ASAP: RAW chains may share a step; only
+    store->load pairs need a step boundary. *)
+let alap func instrs =
+  let g = Dep.of_instrs instrs in
+  alap_of g (schedule_graph func unconstrained g)
+
 (** Slack (ALAP - ASAP step) of each instruction: zero-slack ops are on the
     critical path; used by E7's exploration report. *)
 let slack func instrs =
-  let a = asap func instrs and l = alap func instrs in
+  let g = Dep.of_instrs instrs in
+  let a = schedule_graph func unconstrained g in
+  let l = alap_of g a in
   Array.init (Array.length a.steps) (fun i -> l.steps.(i) - a.steps.(i))
 
 (** Parallelism profile: how many operations issue in each step. *)

@@ -33,6 +33,15 @@ val capacity : resources -> resource_class -> int
 (** Units of a class available per step (at least 1; [max_int] when
     unconstrained). *)
 
+type resource = Class of resource_class | Port of int * [ `Read | `Write ]
+(** What an instruction competes for within a step: its class, or for a
+    memory access its (region, direction) port.  Class [Mem] is
+    unbounded, so the port is a memory access's only limit. *)
+
+val resource_of : resources -> Cir.instr -> resource * int
+(** An instruction's resource and how many uses of it fit per step
+    ([max_int] when unbounded). *)
+
 val instr_delay : Cir.func -> Cir.instr -> float
 (** Combinational delay of one instruction under the Area model. *)
 

@@ -362,6 +362,168 @@ let test_simplify_equivalence () =
         w.Workloads.arg_sets)
     Workloads.sequential
 
+(* --- differential: production schedulers vs the reference copies --- *)
+
+(* The allocations the differential tests cover: the backends' default,
+   no limits (ASAP), no chaining (the modulo scheduler's sequential
+   baseline) and register-file memories with one adder. *)
+let allocations =
+  [ ("default", Schedule.default_allocation);
+    ("unconstrained", Schedule.unconstrained);
+    ("chain 0.1", { Schedule.default_allocation with Schedule.chain_budget = 0.1 });
+    ("forwarding + 1 adder",
+     { Schedule.default_allocation with
+       Schedule.mem_forwarding = true; adders = Some 1 }) ]
+
+(* Every allocation on every block of [func]; [None] when all agree, else
+   a description of the first difference. *)
+let list_schedule_diff func =
+  List.find_map
+    (fun (blk : Cir.block) ->
+      List.find_map
+        (fun (label, resources) ->
+          let got = Schedule.list_schedule func resources blk.Cir.instrs
+          and want = Sched_ref.list_schedule func resources blk.Cir.instrs in
+          if got = want then None
+          else
+            Some
+              (Printf.sprintf "%s: block %d (%d instrs) under %s"
+                 func.Cir.fn_name blk.Cir.b_id
+                 (List.length blk.Cir.instrs) label))
+        allocations)
+    (Array.to_list func.Cir.fn_blocks)
+
+(* The modulo result fields the two implementations must agree on (speedup
+   follows from ii and sequential_cycles), plus the dependence edges as a
+   multiset; an irregular loop must be rejected by both. *)
+let modulo_outcome ~schedule ~extract func =
+  match extract func Pipeline.default_latency with
+  | exception Pipeline.Irregular msg -> Error msg
+  | (body : Pipeline.loop_body) ->
+    let r : Pipeline.result = schedule func in
+    Ok
+      ( ( r.Pipeline.rec_mii, r.Pipeline.res_mii, r.Pipeline.ii,
+          r.Pipeline.schedule_length, r.Pipeline.sequential_cycles,
+          r.Pipeline.fallback ),
+        List.sort compare body.Pipeline.edges )
+
+let modulo_agrees func =
+  modulo_outcome func
+    ~schedule:(fun f -> Pipeline.modulo_schedule f)
+    ~extract:Pipeline.extract_loop
+  = modulo_outcome func
+      ~schedule:(fun f -> Sched_ref.modulo_schedule f)
+      ~extract:Sched_ref.extract_loop
+
+(* Each corpus kernel through every lowering backend's pass pipeline;
+   pipelines that reject a kernel are skipped. *)
+let corpus_funcs =
+  lazy
+    (List.concat_map
+       (fun (w : Workloads.t) ->
+         let program = Workloads.parse w in
+         List.filter_map
+           (fun b ->
+             match Registry.pipeline b with
+             | Some pl when pl.Passes.pl_lowers -> (
+               match
+                 Passes.run ~options:Passes.default_options pl program
+                   ~entry:w.Workloads.entry
+               with
+               | lowered, _ ->
+                 Some (w.Workloads.name, Registry.name b, lowered.Lower.func)
+               | exception _ -> None)
+             | Some _ | None -> None)
+           (Registry.compiling ()))
+       Workloads.all)
+
+let test_list_schedule_matches_reference () =
+  let funcs = Lazy.force corpus_funcs in
+  Alcotest.(check bool) "every corpus kernel lowers somewhere" true
+    (List.length funcs >= List.length Workloads.all);
+  List.iter
+    (fun (kernel, backend, func) ->
+      match list_schedule_diff func with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s via %s: %s" kernel backend d)
+    funcs
+
+let test_modulo_matches_reference () =
+  List.iter
+    (fun (kernel, backend, func) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s via %s: modulo result and edges" kernel backend)
+        true (modulo_agrees func))
+    (Lazy.force corpus_funcs)
+
+(* A loop kernel over straight-line code.  [`Resource]: independent
+   accumulators fed by multiplies and memory reads, so ResMII binds.
+   [`Recurrence]: each accumulator updated six times per iteration
+   through logic, plus a few stores, so RecMII binds. *)
+let big_kernel family ~stmts =
+  let accs = match family with `Resource -> stmts / 2 | `Recurrence -> stmts / 6 in
+  let b = Buffer.create (stmts * 40) in
+  Buffer.add_string b "int mem[16];\nint k(int n) {\n";
+  for a = 0 to accs - 1 do
+    Printf.bprintf b "  int a%d = n + %d;\n" a a
+  done;
+  Buffer.add_string b "  for (int i = 0; i < 3; i = i + 1) {\n";
+  for s = 0 to stmts - 1 do
+    let a = s mod accs and c = (s * 7919) mod 1000 in
+    match family, s mod 3 with
+    | `Resource, 0 -> Printf.bprintf b "    a%d = a%d + (i * %d);\n" a a c
+    | `Resource, 1 -> Printf.bprintf b "    a%d = a%d + mem[%d];\n" a a (c land 15)
+    | `Resource, _ -> Printf.bprintf b "    a%d = a%d - (n * %d);\n" a a c
+    | `Recurrence, 0 -> Printf.bprintf b "    a%d = a%d ^ (i & %d);\n" a a c
+    | `Recurrence, 1 when s mod 100 = 1 ->
+      Printf.bprintf b "    mem[%d] = a%d;\n" (c land 15) a
+    | `Recurrence, 1 -> Printf.bprintf b "    a%d = a%d | (n & %d);\n" a a c
+    | `Recurrence, _ -> Printf.bprintf b "    a%d = a%d ^ %d;\n" a a c
+  done;
+  Buffer.add_string b "  }\n  int r = 0;\n";
+  for a = 0 to accs - 1 do
+    Printf.bprintf b "  r = r ^ a%d;\n" a
+  done;
+  Buffer.add_string b "  return r;\n}\n";
+  lower (Buffer.contents b) ~entry:"k"
+
+let test_big_kernels_match_reference () =
+  List.iter
+    (fun (name, family, stmts) ->
+      let func = big_kernel family ~stmts in
+      let body = Pipeline.extract_loop func Pipeline.default_latency in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s loop has ~1k instructions (%d)" name
+           (Array.length body.Pipeline.instrs))
+        true
+        (Array.length body.Pipeline.instrs >= 1000);
+      let r = Pipeline.modulo_schedule func in
+      let bound =
+        match family with
+        | `Resource -> r.Pipeline.res_mii > r.Pipeline.rec_mii
+        | `Recurrence -> r.Pipeline.rec_mii > r.Pipeline.res_mii
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is %s-bound (rec %d, res %d)" name name
+           r.Pipeline.rec_mii r.Pipeline.res_mii)
+        true bound;
+      Alcotest.(check bool) (name ^ ": modulo result and edges") true
+        (modulo_agrees func);
+      match list_schedule_diff func with
+      | None -> ()
+      | Some d -> Alcotest.fail d)
+    [ ("ResMII", `Resource, 400); ("RecMII", `Recurrence, 450) ]
+
+let prop_schedules_match_reference =
+  QCheck.Test.make ~name:"schedulers match the reference on random programs"
+    ~count:100 Test_random.arb_program (fun src ->
+      let func = lower src ~entry:"f" in
+      (match list_schedule_diff func with
+      | None -> ()
+      | Some d -> QCheck.Test.fail_reportf "%s on:\n%s" d src);
+      modulo_agrees func
+      || QCheck.Test.fail_reportf "modulo results differ on:\n%s" src)
+
 let suite =
   ( "sched",
     [ Alcotest.test_case "list schedule legality" `Quick
@@ -387,4 +549,11 @@ let suite =
       Alcotest.test_case "ILP speculation matters" `Quick
         test_ilp_speculation_matters;
       Alcotest.test_case "simplify equivalence" `Quick
-        test_simplify_equivalence ] )
+        test_simplify_equivalence;
+      Alcotest.test_case "list schedule matches reference" `Quick
+        test_list_schedule_matches_reference;
+      Alcotest.test_case "modulo schedule matches reference" `Quick
+        test_modulo_matches_reference;
+      Alcotest.test_case "1k-instr kernels match reference" `Quick
+        test_big_kernels_match_reference;
+      QCheck_alcotest.to_alcotest prop_schedules_match_reference ] )
