@@ -108,6 +108,11 @@ let () =
   print_endline
     "CHLS experiment harness — reproducing Edwards, \"The Challenges of \
      Hardware\nSynthesis from C-like Languages\" (DATE 2005).";
+  (* the serve bench's cache-provenance counts and oracle checks are
+     deterministic; it runs first because its persistence phase forks,
+     and Unix.fork is refused once any domain has been spawned (the
+     explore bench spawns some) *)
+  Serve_bench.run_all ();
   Experiments.run_all ();
   Ablations.run_all ();
   (* the settle-strategy comparison always runs: its node-eval counters are
@@ -122,10 +127,6 @@ let () =
   (* design-space sweeps: deterministic points and fronts; the warm
      re-sweep doubles as the config-keyed cache regression check *)
   Explore_bench.run_all ();
-  (* the serve bench's cache-provenance counts and oracle checks are
-     deterministic too; it must precede anything that might spawn a
-     domain, because its persistence phase forks *)
-  Serve_bench.run_all ();
   if not skip_perf then begin
     (* compiled vs interpreting engines: wall-clock cycles/sec, so it sits
        with the perf benchmarks (the equivalence check inside always runs

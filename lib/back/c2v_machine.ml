@@ -205,6 +205,9 @@ let compile ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
   in
   let compiled = C2verilog.compile_program program ~entry in
   let verilog = lazy (C2v_verilog.to_string compiled ~name:entry) in
+  (* a cached design may be shared across domains; a lazy must not be
+     forced from two at once *)
+  let lock = Design.new_lock () in
   let ret_width =
     match Ast.find_func program entry with
     | Some f -> max 0 (Ctypes.width f.Ast.f_ret)
@@ -242,7 +245,9 @@ let compile ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
             num_nodes = code_words;
             num_registers = 4 })
     ;
-    verilog = (fun () -> Some (Lazy.force verilog));
+    verilog =
+      (fun () ->
+        Some (Design.with_lock lock (fun () -> Lazy.force verilog)));
     netlist = (fun () -> None);
     clock_period = Some 30.;
     stats =

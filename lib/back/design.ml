@@ -95,3 +95,17 @@ let latency_estimate design (r : run_result) =
   | Some cycles, Some period, _ -> Some (float_of_int cycles *. period)
   | _, _, Some t -> Some t
   | _ -> None
+
+(* Locks are striped over a fixed table and a design keeps only its
+   stripe's index: the disk store marshals designs with their closures,
+   and a mutex cannot be marshalled.  Designs that share a stripe only
+   wait for each other. *)
+let stripes = Array.init 64 (fun _ -> Mutex.create ())
+
+let next_lock = Atomic.make 0
+
+type lock = int
+
+let new_lock () = Atomic.fetch_and_add next_lock 1 mod Array.length stripes
+
+let with_lock lock f = Mutex.protect stripes.(lock) f

@@ -72,3 +72,14 @@ val run_int : t -> int list -> int option
 val latency_estimate : t -> run_result -> float option
 (** Wall-clock estimate: cycles x clock period for clocked designs, the
     recorded completion/settle time otherwise. *)
+
+type lock
+(** Serialises the uses of one design's shared mutable state (a compiled
+    engine reused across runs, lazily built views) across domains.  A
+    lock survives the disk store's [Marshal] round trip. *)
+
+val new_lock : unit -> lock
+
+val with_lock : lock -> (unit -> 'a) -> 'a
+(** [with_lock l f] runs [f] holding [l], and releases it if [f]
+    raises. *)

@@ -8,13 +8,8 @@
    Rtlsim on >62-bit designs); Event_driven and Full_sweep both run the
    Rtlsim interpreter — an FSMD walk has no sweep/event distinction, the
    interpreter IS the oracle. *)
-let simulate ?engine ?vcd ?(sim = Design.Compiled) fsmd ~args :
+let simulate ~engine ?vcd ?(sim = Design.Compiled) fsmd ~args :
     Design.run_result =
-  (* a Design.t's run closure passes a shared lazy engine so the closure
-     compilation happens once per design, not once per run *)
-  let engine =
-    match engine with Some e -> e | None -> lazy (Fsmdcomp.create fsmd)
-  in
   let trace = Option.map (fun v -> Trace.rtlsim_trace v fsmd) vcd in
   let outcome =
     match sim with
@@ -38,6 +33,33 @@ let simulate ?engine ?vcd ?(sim = Design.Compiled) fsmd ~args :
     time_units = None;
     metrics }
 
+(* The compiled engine is built once and reuses its arrays on every run,
+   and a lazy must not be forced from two domains at once, so each run
+   and each structural view holds the design's lock: a design shared
+   through the cache stays correct across serve domains. *)
+let design ~backend ~name ~stats ~pass_trace fsmd : Design.t =
+  let lock = Design.new_lock () in
+  let engine = lazy (Fsmdcomp.create fsmd) in
+  let run ?vcd ?sim args =
+    Design.with_lock lock (fun () -> simulate ~engine ?vcd ?sim fsmd ~args)
+  in
+  let elaborated = lazy (Rtlgen.elaborate fsmd) in
+  let view f () =
+    Design.with_lock lock (fun () ->
+        match Lazy.force elaborated with
+        | e -> Some (f e.Rtlgen.netlist)
+        | exception Rtlgen.Elaboration_error _ -> None)
+  in
+  { Design.design_name = name;
+    backend;
+    run;
+    area = view Area.analyze;
+    verilog = view Verilog.to_string;
+    netlist = view Fun.id;
+    clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
+    stats;
+    pass_trace }
+
 let build ~backend_name ~dialect ?(mem_forwarding = false) ?pipeline
     ?(knobs = Backend.default_knobs)
     ~(schedule_block : Cir.func -> Cir.block -> Schedule.schedule)
@@ -58,34 +80,9 @@ let build ~backend_name ~dialect ?(mem_forwarding = false) ?pipeline
   let fsmd =
     Fsmd.of_func ~mem_forwarding func ~schedule_block:(schedule_block func)
   in
-  let engine = lazy (Fsmdcomp.create fsmd) in
-  let run ?vcd ?sim args = simulate ~engine ?vcd ?sim fsmd ~args in
-  let elaborated = lazy (Rtlgen.elaborate fsmd) in
-  let area () =
-    match Lazy.force elaborated with
-    | e -> Some (Area.analyze e.Rtlgen.netlist)
-    | exception Rtlgen.Elaboration_error _ -> None
-  in
-  let verilog () =
-    match Lazy.force elaborated with
-    | e -> Some (Verilog.to_string e.Rtlgen.netlist)
-    | exception Rtlgen.Elaboration_error _ -> None
-  in
-  let netlist () =
-    match Lazy.force elaborated with
-    | e -> Some e.Rtlgen.netlist
-    | exception Rtlgen.Elaboration_error _ -> None
-  in
-  { Design.design_name = entry;
-    backend = backend_name;
-    run;
-    area;
-    verilog;
-    netlist;
-    clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
-    stats =
-      [ ("states", string_of_int (Fsmd.num_states fsmd));
-        ("instructions", string_of_int (Cir.num_instrs func));
-        ("regions", string_of_int (Array.length func.Cir.fn_regions)) ]
-      @ extra_stats lowered fsmd;
-    pass_trace }
+  design ~backend:backend_name ~name:entry ~pass_trace fsmd
+    ~stats:
+      ([ ("states", string_of_int (Fsmd.num_states fsmd));
+         ("instructions", string_of_int (Cir.num_instrs func));
+         ("regions", string_of_int (Array.length func.Cir.fn_regions)) ]
+      @ extra_stats lowered fsmd)

@@ -3,18 +3,16 @@
     the backend's scheduling policy, and wrap simulator + elaboration
     into a Design. *)
 
-val simulate :
-  ?engine:Fsmdcomp.t Lazy.t -> ?vcd:Vcd.t -> ?sim:Design.engine -> Fsmd.t ->
-  args:Bitvec.t list -> Design.run_result
-(** Run an FSMD on the selected engine (default {!Design.Compiled}, via
-    {!Fsmdcomp}; the oracle engines run the {!Rtlsim} interpreter) and
-    package the outcome with [sim.engine] / [sim.cycles] /
-    [sim.states_visited] metrics.  Pass [engine] (a shared
-    [lazy (Fsmdcomp.create fsmd)]) from a [Design.run] closure so the
-    closure compilation is paid once per design rather than per run.
-    The [sim.engine] metric reports the engine that actually ran —
-    ["event"] when a >62-bit design made the compiled engine fall
-    back. *)
+val design :
+  backend:string -> name:string -> stats:(string * string) list ->
+  pass_trace:Passes.trace -> Fsmd.t -> Design.t
+(** Wrap an FSMD as a Design: runs go through {!Fsmdcomp} (compiled once
+    per design; the oracle engines run the {!Rtlsim} interpreter) with
+    [sim.engine] / [sim.cycles] / [sim.states_visited] metrics, and the
+    structural views come from one lazy {!Rtlgen} elaboration ([None] on
+    an elaboration error).  Every run and every structural view holds
+    the design's {!Design.lock}, so one design may be shared by several
+    domains.  Also used by the structural OCAPI front end. *)
 
 val build :
   backend_name:string -> dialect:Dialect.t -> ?mem_forwarding:bool ->

@@ -707,23 +707,21 @@ let compile_with_policy ~backend_name ~dialect ~policy
           Fsmd.of_func func ~schedule_block:(Fsmd.handelc_schedule func)
         in
         match Rtlgen.elaborate fsmd with
-        | e -> Some e
+        | e -> Some e.Rtlgen.netlist
         | exception Rtlgen.Elaboration_error _ -> None))
+  in
+  (* a lazy must not be forced from two domains at once, and a cached
+     design may be shared across serve domains *)
+  let lock = Design.new_lock () in
+  let view f () =
+    Design.with_lock lock (fun () -> Option.map f (Lazy.force structural))
   in
   { Design.design_name = entry;
     backend = backend_name;
     run;
-    area =
-      (fun () ->
-        Option.map (fun e -> Area.analyze e.Rtlgen.netlist)
-          (Lazy.force structural));
-    verilog =
-      (fun () ->
-        Option.map (fun e -> Verilog.to_string e.Rtlgen.netlist)
-          (Lazy.force structural));
-    netlist =
-      (fun () ->
-        Option.map (fun e -> e.Rtlgen.netlist) (Lazy.force structural));
+    area = view Area.analyze;
+    verilog = view Verilog.to_string;
+    netlist = view Fun.id;
     clock_period =
       Some
         (match policy with

@@ -113,34 +113,12 @@ let compile ?(knobs = Backend.default_knobs) ?resources
   let fsmd =
     Fsmd.of_func func ~schedule_block:(fun blk -> schedules.(blk.Cir.b_id))
   in
-  let engine = lazy (Fsmdcomp.create fsmd) in
-  let run ?vcd ?sim args = Fsmd_common.simulate ~engine ?vcd ?sim fsmd ~args in
-  let elaborated = lazy (Rtlgen.elaborate fsmd) in
   let design =
-    { Design.design_name = entry;
-      backend = "hardwarec";
-      run;
-      area =
-        (fun () ->
-          match Lazy.force elaborated with
-          | e -> Some (Area.analyze e.Rtlgen.netlist)
-          | exception Rtlgen.Elaboration_error _ -> None);
-      verilog =
-        (fun () ->
-          match Lazy.force elaborated with
-          | e -> Some (Verilog.to_string e.Rtlgen.netlist)
-          | exception Rtlgen.Elaboration_error _ -> None);
-      netlist =
-        (fun () ->
-          match Lazy.force elaborated with
-          | e -> Some e.Rtlgen.netlist
-          | exception Rtlgen.Elaboration_error _ -> None);
-      clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
-      stats =
+    Fsmd_common.design ~backend:"hardwarec" ~name:entry ~pass_trace fsmd
+      ~stats:
         [ ("states", string_of_int (Fsmd.num_states fsmd));
           ("constraints", string_of_int (List.length constraints));
-          ("allocation", fst !chosen) ];
-      pass_trace }
+          ("allocation", fst !chosen) ]
   in
   ( design,
     { statuses; exploration = !exploration; chosen_allocation = fst !chosen } )

@@ -218,30 +218,9 @@ let build (b : builder) : Fsmd.t =
 (** Wrap the generated structure as a Design. *)
 let to_design (b : builder) : Design.t =
   let fsmd = build b in
-  let engine = lazy (Fsmdcomp.create fsmd) in
-  let run ?vcd ?sim args = Fsmd_common.simulate ~engine ?vcd ?sim fsmd ~args in
-  let elaborated = lazy (Rtlgen.elaborate fsmd) in
-  { Design.design_name = b.name;
-    backend = "ocapi";
-    pass_trace = [];  (* structural EDSL: no compilation pipeline runs *)
-    run;
-    area =
-      (fun () ->
-        match Lazy.force elaborated with
-        | e -> Some (Area.analyze e.Rtlgen.netlist)
-        | exception Rtlgen.Elaboration_error _ -> None);
-    verilog =
-      (fun () ->
-        match Lazy.force elaborated with
-        | e -> Some (Verilog.to_string e.Rtlgen.netlist)
-        | exception Rtlgen.Elaboration_error _ -> None);
-    netlist =
-      (fun () ->
-        match Lazy.force elaborated with
-        | e -> Some e.Rtlgen.netlist
-        | exception Rtlgen.Elaboration_error _ -> None);
-    clock_period = Some (Float.max 1. (Fsmd.critical_state_delay fsmd));
-    stats = [ ("states", string_of_int (Fsmd.num_states fsmd)) ] }
+  (* structural EDSL: no compilation pipeline runs *)
+  Fsmd_common.design ~backend:"ocapi" ~name:b.name ~pass_trace:[] fsmd
+    ~stats:[ ("states", string_of_int (Fsmd.num_states fsmd)) ]
 
 let descriptor =
   Backend.make ~name:"ocapi"

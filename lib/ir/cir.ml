@@ -68,9 +68,22 @@ let def_of = function
   | I_mux { dst; _ } | I_load { dst; _ } -> Some dst
   | I_store _ -> None
 
+(** Apply [f] to each register read by an instruction, in operand order,
+    without building a list. *)
+let iter_uses f instr =
+  let operand = function O_reg r -> f r | O_imm _ -> () in
+  match instr with
+  | I_bin { a; b; _ } -> operand a; operand b
+  | I_un { a; _ } -> operand a
+  | I_mov { src; _ } | I_cast { src; _ } -> operand src
+  | I_mux { sel; if_true; if_false; _ } ->
+    operand sel; operand if_true; operand if_false
+  | I_load { addr; _ } -> operand addr
+  | I_store { addr; value; _ } -> operand addr; operand value
+
 let reg_of_operand = function O_reg r -> [ r ] | O_imm _ -> []
 
-(** Registers read by an instruction. *)
+(** Registers read by an instruction, in [iter_uses] order. *)
 let uses_of = function
   | I_bin { a; b; _ } -> reg_of_operand a @ reg_of_operand b
   | I_un { a; _ } -> reg_of_operand a

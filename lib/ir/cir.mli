@@ -60,6 +60,11 @@ val operand_width : func -> operand -> int
 
 val def_of : instr -> reg option
 val uses_of : instr -> reg list
+
+val iter_uses : (reg -> unit) -> instr -> unit
+(** [iter_uses f i] applies [f] to [uses_of i] in order, without
+    building the list. *)
+
 val uses_of_terminator : terminator -> reg list
 
 val memory_access : instr -> (int * [ `Read | `Write ]) option

@@ -40,7 +40,11 @@ let num_states t = Array.length t.states
 let critical_state_delay t =
   Array.fold_left (fun acc s -> Float.max acc s.delay) 0. t.states
 
-(** Build an FSMD from a CIR function given a per-block scheduler. *)
+(** Build an FSMD from a CIR function given a per-block scheduler.
+
+    State ids are contiguous per block, in block order.  One backward
+    pass over a block's instructions buckets them per step, each bucket
+    in original order, so the build costs O(instrs + states). *)
 let of_func ?(mem_forwarding = false) (func : Cir.func)
     ~(schedule_block : Cir.block -> Schedule.schedule) : t =
   let nblocks = Cir.num_blocks func in
@@ -54,47 +58,42 @@ let of_func ?(mem_forwarding = false) (func : Cir.func)
     first_state.(b) <- !total;
     total := !total + max 1 schedules.(b).Schedule.num_steps
   done;
-  let states = ref [] in
-  for b = 0 to nblocks - 1 do
+  let block_states b =
     let blk = Cir.block func b in
     let sched = schedules.(b) in
     let nsteps = max 1 sched.Schedule.num_steps in
     let instrs = Array.of_list blk.Cir.instrs in
-    for step = 0 to nsteps - 1 do
-      let actions =
-        Array.to_list instrs
-        |> List.filteri (fun i _ ->
-               i < Array.length sched.Schedule.steps
-               && sched.Schedule.steps.(i) = step)
-      in
-      let is_last = step = nsteps - 1 in
-      let next =
-        if not is_last then N_goto (first_state.(b) + step + 1)
-        else
-          match blk.Cir.term with
-          | Cir.T_jump target -> N_goto first_state.(target)
-          | Cir.T_branch { cond; if_true; if_false } ->
-            N_branch
-              { cond;
-                if_true = first_state.(if_true);
-                if_false = first_state.(if_false) }
-          | Cir.T_return v -> N_halt v
-      in
-      let delay =
-        if step < Array.length sched.Schedule.step_delay then
-          sched.Schedule.step_delay.(step)
-        else 0.
-      in
-      states :=
-        { st_id = first_state.(b) + step; actions; next; delay } :: !states
-    done
-  done;
-  let states =
-    Array.of_list (List.sort (fun a b -> compare a.st_id b.st_id) (List.rev !states))
+    (* instructions the schedule leaves without a step in range are dropped *)
+    let actions = Array.make nsteps [] in
+    for i = min (Array.length instrs) (Array.length sched.Schedule.steps) - 1
+        downto 0 do
+      let step = sched.Schedule.steps.(i) in
+      if step >= 0 && step < nsteps then
+        actions.(step) <- instrs.(i) :: actions.(step)
+    done;
+    Array.init nsteps (fun step ->
+        let next =
+          if step < nsteps - 1 then N_goto (first_state.(b) + step + 1)
+          else
+            match blk.Cir.term with
+            | Cir.T_jump target -> N_goto first_state.(target)
+            | Cir.T_branch { cond; if_true; if_false } ->
+              N_branch
+                { cond;
+                  if_true = first_state.(if_true);
+                  if_false = first_state.(if_false) }
+            | Cir.T_return v -> N_halt v
+        in
+        let delay =
+          if step < Array.length sched.Schedule.step_delay then
+            sched.Schedule.step_delay.(step)
+          else 0.
+        in
+        { st_id = first_state.(b) + step; actions = actions.(step); next; delay })
   in
   { fd_name = func.Cir.fn_name;
     func;
-    states;
+    states = Array.concat (List.init nblocks block_states);
     entry = first_state.(func.Cir.fn_entry);
     mem_forwarding }
 

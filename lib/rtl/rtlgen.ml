@@ -114,11 +114,15 @@ let elaborate (fsmd : Fsmd.t) : elaborated =
             Hashtbl.replace env dst
               (Netlist.mem_read nl ~mem:mems.(region) ~addr:(operand addr))
           | Cir.I_store { region; addr; value } ->
-            if List.exists (fun (s', _, _) -> s' = s) mem_writes.(region) then
+            (* states are elaborated one at a time, so an earlier store
+               of this state would be the latest write to the region *)
+            (match mem_writes.(region) with
+            | (s', _, _) :: _ when s' = s ->
               error
                 "two stores to region %s in one state: elaboration needs \
                  mem_write_ports = 1"
-                func.Cir.fn_regions.(region).Cir.rg_name;
+                func.Cir.fn_regions.(region).Cir.rg_name
+            | _ -> ());
             if fsmd.Fsmd.mem_forwarding then
               error
                 "mem_forwarding FSMDs (register-file memories) cannot use \

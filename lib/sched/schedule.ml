@@ -107,11 +107,48 @@ let resource_of resources instr =
     let cls = class_of_instr instr in
     (Class cls, capacity resources cls)
 
+(* A binary min-heap of distinct ints (priority ranks), grown on demand. *)
+module Heap = struct
+  type t = { mutable keys : int array; mutable size : int }
+
+  let create () = { keys = [||]; size = 0 }
+
+  let push h x =
+    if h.size = Array.length h.keys then begin
+      let keys = Array.make (max 8 (2 * h.size)) 0 in
+      Array.blit h.keys 0 keys 0 h.size;
+      h.keys <- keys
+    end;
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    while !i > 0 && h.keys.((!i - 1) / 2) > x do
+      h.keys.(!i) <- h.keys.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.keys.(!i) <- x
+
+  (* The least key, removed; the heap must be non-empty. *)
+  let pop_min h =
+    let top = h.keys.(0) in
+    h.size <- h.size - 1;
+    let x = h.keys.(h.size) and n = h.size in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < n && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
+      if c < n && h.keys.(c) < x then begin
+        h.keys.(!i) <- h.keys.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    h.keys.(!i) <- x;
+    top
+end
+
 (* A resource's use in the current step and the priority ranks of the
    ready ops waiting for it. *)
-module Ranks = Set.Make (Int)
-
-type bucket = { cap : int; mutable used : int; mutable ready : Ranks.t }
+type bucket = { cap : int; mutable used : int; ready : Heap.t }
 
 (* List scheduling over a prebuilt dependence graph.
 
@@ -125,8 +162,9 @@ type bucket = { cap : int; mutable used : int; mutable ready : Ranks.t }
    interact only through their own bucket's counter, so each bucket is
    drained on its own and stops at the first op it cannot hold; an op
    that fits its bucket but misses the chain budget waits out the step.
-   Every op is offered at most twice, so a block costs O((n + e) log n)
-   plus one visit per bucket per step.  The placements are those of
+   Every op is offered at most twice and each ready set is a binary
+   min-heap of ranks, so a block costs O((n + e) log n) plus one visit
+   per bucket per step.  The placements are those of
    rescanning every instruction each round (test/sched_ref.ml). *)
 let schedule_graph (func : Cir.func) (resources : resources) (g : Dep.graph)
     : schedule =
@@ -154,16 +192,13 @@ let schedule_graph (func : Cir.func) (resources : resources) (g : Dep.graph)
           match Hashtbl.find_opt buckets key with
           | Some b -> b
           | None ->
-            let b = { cap; used = 0; ready = Ranks.empty } in
+            let b = { cap; used = 0; ready = Heap.create () } in
             Hashtbl.add buckets key b;
             b)
         g.Dep.instrs
     in
     let all_buckets = Hashtbl.fold (fun _ b acc -> b :: acc) buckets [] in
-    let make_ready i =
-      let b = bucket_of.(i) in
-      b.ready <- Ranks.add rank.(i) b.ready
-    in
+    let make_ready i = Heap.push bucket_of.(i).ready rank.(i) in
     let pending = Array.map List.length g.Dep.preds in
     let release i =
       pending.(i) <- pending.(i) - 1;
@@ -217,13 +252,10 @@ let schedule_graph (func : Cir.func) (resources : resources) (g : Dep.graph)
         else chain_missed := i :: !chain_missed
       in
       let rec drain b =
-        if b.used < b.cap then
-          match Ranks.min_elt_opt b.ready with
-          | None -> ()
-          | Some r ->
-            b.ready <- Ranks.remove r b.ready;
-            offer order.(r);
-            drain b
+        if b.used < b.cap && b.ready.Heap.size > 0 then begin
+          offer order.(Heap.pop_min b.ready);
+          drain b
+        end
       in
       List.iter drain all_buckets;
       while !next_round <> [] do

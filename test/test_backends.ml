@@ -143,6 +143,45 @@ let test_cash_is_asynchronous () =
   Alcotest.(check bool) "completion time positive" true
     (match r.Design.time_units with Some t -> t > 0. | None -> false)
 
+(* A cached design may be run by several serve domains at once.  Two
+   domains each run one shared bachc design 500 times on their own
+   arguments, and every result must be the oracle's: the design's
+   compiled engine, built once and reused, must not mix two runs. *)
+let test_shared_design_across_domains () =
+  let w = Workloads.gcd in
+  let design =
+    match
+      Driver.compile
+        (Driver.create ~entry:w.Workloads.entry w.Workloads.source)
+        (Registry.get "bachc")
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.fail (Driver.render_error e)
+  in
+  let runs = 500 in
+  let args_of d i =
+    [ 1 + (((i * 37) + (d * 499)) mod 1009); 1 + (i * 53 mod 997) ]
+  in
+  let expected =
+    Array.init 2 (fun d ->
+        Array.init runs (fun i -> Some (Workloads.reference w (args_of d i))))
+  in
+  let observed =
+    List.init 2 (fun d ->
+        Domain.spawn (fun () ->
+            Array.init runs (fun i -> Design.run_int design (args_of d i))))
+    |> List.map Domain.join
+  in
+  List.iteri
+    (fun d got ->
+      Array.iteri
+        (fun i r ->
+          if r <> expected.(d).(i) then
+            Alcotest.failf "domain %d run %d: gcd(%s)" d i
+              (String.concat "," (List.map string_of_int (args_of d i))))
+        got)
+    observed
+
 (* --- netlist elaboration: the third oracle layer --- *)
 
 let test_elaboration_equivalence () =
@@ -388,5 +427,7 @@ let suite =
         test_handelc_channel_cycle_semantics;
       Alcotest.test_case "handelc structural views" `Quick
         test_handelc_structural_views;
+      Alcotest.test_case "shared design across domains" `Quick
+        test_shared_design_across_domains;
       Alcotest.test_case "globals observable" `Quick
         test_global_state_observable ] )

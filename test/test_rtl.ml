@@ -111,6 +111,69 @@ let test_elaboration_memory_write_mux () =
       (Bitvec.to_int (List.assoc "result" outputs))
   | Error `Timeout -> Alcotest.fail "timeout"
 
+(* A RAM has one write port: two stores to a region in one state (ASAP
+   with unbounded ports puts both in the first step) are refused. *)
+let test_elaboration_two_stores_one_state () =
+  let func =
+    lower "int buf[4]; int f(int a) { buf[0] = a; buf[1] = a; return a; }"
+      ~entry:"f"
+  in
+  let fsmd =
+    Fsmd.of_func func ~schedule_block:(fun blk ->
+        Schedule.list_schedule func Schedule.unconstrained blk.Cir.instrs)
+  in
+  match Rtlgen.elaborate fsmd with
+  | exception Rtlgen.Elaboration_error _ -> ()
+  | _ -> Alcotest.fail "expected an elaboration error"
+
+(* Thousands of stores to one region, one per state: the write port's
+   mux chain elaborates and the netlist computes what Rtlsim does. *)
+let test_elaboration_many_stores () =
+  let stores = 2048 in
+  let b = Buffer.create (stores * 24) in
+  Buffer.add_string b "int buf[16];\nint f(int a) {\n";
+  for i = 0 to stores - 1 do
+    Printf.bprintf b "  buf[%d] = %d;\n" (i land 15) i
+  done;
+  Buffer.add_string b "  return buf[0] + buf[7] + buf[15] + a;\n}\n";
+  let func = lower (Buffer.contents b) ~entry:"f" in
+  let region_stores =
+    Array.fold_left
+      (fun acc (blk : Cir.block) ->
+        acc
+        + List.length
+            (List.filter
+               (function Cir.I_store _ -> true | _ -> false)
+               blk.Cir.instrs))
+      0 func.Cir.fn_blocks
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least %d stores (%d)" stores region_stores)
+    true (region_stores >= stores);
+  let fsmd =
+    Fsmd.of_func func ~schedule_block:(Fsmd.serial_schedule func)
+  in
+  let rtl = Rtlsim.run fsmd ~args:[ Bitvec.of_int ~width:64 5 ] in
+  let e = Rtlgen.elaborate fsmd in
+  (* the compiled netlist engine: a 2k-deep write mux chain re-settles
+     every cycle, which the event-driven interpreter takes seconds over *)
+  Alcotest.(check bool) "compilable" true (Netcomp.compilable e.Rtlgen.netlist);
+  match
+    Netcomp.run_until_done e.Rtlgen.netlist
+      ~inputs:
+        (List.map
+           (fun (name, r) -> (name, Bitvec.of_int ~width:(Cir.reg_width func r) 5))
+           func.Cir.fn_params)
+      ~done_name:"done" ~max_cycles:100_000
+  with
+  | Ok (outputs, cycles) ->
+    Alcotest.(check int) "one INIT cycle overhead" (rtl.Rtlsim.cycles + 1)
+      cycles;
+    Alcotest.(check int) "same result"
+      (Bitvec.to_int (Option.get rtl.Rtlsim.return_value))
+      (Bitvec.to_int (List.assoc "result" outputs))
+  | Error `Timeout -> Alcotest.fail "netlist timeout"
+
 let test_verilog_hygiene () =
   let fsmd = default_fsmd gcd_func in
   let e = Rtlgen.elaborate fsmd in
@@ -297,6 +360,10 @@ let suite =
         test_elaboration_init_done_protocol;
       Alcotest.test_case "elaboration memory write mux" `Quick
         test_elaboration_memory_write_mux;
+      Alcotest.test_case "elaboration refuses two stores in one state" `Quick
+        test_elaboration_two_stores_one_state;
+      Alcotest.test_case "elaboration of 2k stores to one region" `Quick
+        test_elaboration_many_stores;
       Alcotest.test_case "verilog hygiene" `Quick test_verilog_hygiene;
       Alcotest.test_case "verilog literals" `Quick test_verilog_literals;
       Alcotest.test_case "netlist combinational eval" `Quick

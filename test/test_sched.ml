@@ -456,6 +456,63 @@ let test_modulo_matches_reference () =
         true (modulo_agrees func))
     (Lazy.force corpus_funcs)
 
+(* --- differential: dependence graphs and FSMDs vs the reference builders --- *)
+
+let same_graph (got : Dep.graph) (want : Dep.graph) =
+  got.Dep.edges = want.Dep.edges
+  && got.Dep.preds = want.Dep.preds
+  && got.Dep.succs = want.Dep.succs
+
+(* The block scheduling policies of the FSMD backends: list schedules
+   (default allocation and ASAP), one state per block, per assignment and
+   per instruction, and HardwareC's padding of blocks that finish under a
+   min-cycle constraint (here every other block gains two empty steps). *)
+let fsmd_policies func =
+  let list resources (blk : Cir.block) =
+    Schedule.list_schedule func resources blk.Cir.instrs
+  in
+  let padded (blk : Cir.block) =
+    let sched = list Schedule.default_allocation blk in
+    if blk.Cir.b_id mod 2 = 1 then sched
+    else
+      { sched with
+        Schedule.num_steps = sched.Schedule.num_steps + 2;
+        step_delay = Array.append sched.Schedule.step_delay [| 0.; 0. |] }
+  in
+  [ ("default", false, list Schedule.default_allocation);
+    ("unconstrained", false, list Schedule.unconstrained);
+    ("transmogrifier", true, Fsmd.transmogrifier_schedule func);
+    ("handelc", false, Fsmd.handelc_schedule func);
+    ("serial", false, Fsmd.serial_schedule func);
+    ("hardwarec padded", false, padded) ]
+
+(* Dep.of_instrs and of_instrs_renamed on every block of [func], then
+   Fsmd.of_func under every policy, against the reference builders;
+   [None] when all agree, else the first difference. *)
+let builders_diff func =
+  let dep_diff (blk : Cir.block) =
+    let instrs = blk.Cir.instrs in
+    if
+      same_graph (Dep.of_instrs instrs) (Build_ref.dep_of_instrs instrs)
+      && same_graph (Dep.of_instrs_renamed instrs)
+           (Build_ref.dep_of_instrs_renamed instrs)
+    then None
+    else
+      Some
+        (Printf.sprintf "%s: block %d (%d instrs) dependence graph"
+           func.Cir.fn_name blk.Cir.b_id (List.length instrs))
+  in
+  let fsmd_diff (label, mem_forwarding, schedule_block) =
+    let got = Fsmd.of_func ~mem_forwarding func ~schedule_block
+    and want = Build_ref.fsmd_of_func ~mem_forwarding func ~schedule_block in
+    if got.Fsmd.states = want.Fsmd.states && got.Fsmd.entry = want.Fsmd.entry
+    then None
+    else Some (Printf.sprintf "%s: FSMD under %s" func.Cir.fn_name label)
+  in
+  match List.find_map dep_diff (Array.to_list func.Cir.fn_blocks) with
+  | Some d -> Some d
+  | None -> List.find_map fsmd_diff (fsmd_policies func)
+
 (* A loop kernel over straight-line code.  [`Resource]: independent
    accumulators fed by multiplies and memory reads, so ResMII binds.
    [`Recurrence]: each accumulator updated six times per iteration
@@ -509,9 +566,10 @@ let test_big_kernels_match_reference () =
         true bound;
       Alcotest.(check bool) (name ^ ": modulo result and edges") true
         (modulo_agrees func);
-      match list_schedule_diff func with
-      | None -> ()
-      | Some d -> Alcotest.fail d)
+      Option.iter Alcotest.fail
+        (match list_schedule_diff func with
+        | None -> builders_diff func
+        | Some d -> Some d))
     [ ("ResMII", `Resource, 400); ("RecMII", `Recurrence, 450) ]
 
 let prop_schedules_match_reference =
@@ -523,6 +581,22 @@ let prop_schedules_match_reference =
       | Some d -> QCheck.Test.fail_reportf "%s on:\n%s" d src);
       modulo_agrees func
       || QCheck.Test.fail_reportf "modulo results differ on:\n%s" src)
+
+let test_builders_match_reference () =
+  List.iter
+    (fun (kernel, backend, func) ->
+      match builders_diff func with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s via %s: %s" kernel backend d)
+    (Lazy.force corpus_funcs)
+
+let prop_builders_match_reference =
+  QCheck.Test.make
+    ~name:"dep graphs and FSMDs match the reference on random programs"
+    ~count:100 Test_random.arb_program (fun src ->
+      match builders_diff (lower src ~entry:"f") with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "%s on:\n%s" d src)
 
 let suite =
   ( "sched",
@@ -556,4 +630,7 @@ let suite =
         test_modulo_matches_reference;
       Alcotest.test_case "1k-instr kernels match reference" `Quick
         test_big_kernels_match_reference;
-      QCheck_alcotest.to_alcotest prop_schedules_match_reference ] )
+      QCheck_alcotest.to_alcotest prop_schedules_match_reference;
+      Alcotest.test_case "dep graphs and FSMDs match reference" `Quick
+        test_builders_match_reference;
+      QCheck_alcotest.to_alcotest prop_builders_match_reference ] )
