@@ -2,10 +2,17 @@
    and one unified RAM, simulated cycle-by-cycle under the backend's rule
    set — and its Design.t wrapper.
 
-   Memory map (word addresses):
+   Memory map (word addresses, [memory_words] in all):
      [0, stack_base)         scalar and array globals
      [stack_base, heap_base) the combined evaluation/call stack, growing up
      [heap_base, ...)        the malloc heap, bump-allocated
+
+   The simulator keeps that image in two segments grown on demand, one
+   for globals and stack from address 0 and one for the heap from
+   [heap_base], so a run allocates in proportion to the words it writes
+   rather than the whole RAM.  A word never written reads as zero, as in
+   a zero-filled image, and an address outside the image fails as an
+   access to it would.
 
    The invariant maintained throughout is that every stored word is
    already masked to its C type's width, so each [Bin (op, w)]
@@ -18,7 +25,9 @@ let error fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 
 type state = {
   compiled : C2verilog.compiled;
-  mem : Bitvec.t array; (* 64-bit words, each masked to its value width *)
+  (* 64-bit words, each masked to its value width *)
+  mutable low : Bitvec.t array; (* [0, length) of [0, heap_base) *)
+  mutable heap : Bitvec.t array; (* [heap_base, heap_base + length) *)
   mutable pc : int;
   mutable sp : int; (* next free slot *)
   mutable fp : int;
@@ -28,16 +37,54 @@ type state = {
 }
 
 let word_width = 64
+let zero_word = Bitvec.zero word_width
+
+(* What indexing the full image would raise. *)
+let outside_image () = invalid_arg "index out of bounds"
+
+let read st addr =
+  let c = st.compiled in
+  if addr < c.C2verilog.heap_base then
+    (* a negative address fails in the array access *)
+    if addr < Array.length st.low then st.low.(addr) else zero_word
+  else
+    let i = addr - c.C2verilog.heap_base in
+    if i < Array.length st.heap then st.heap.(i)
+    else if addr < c.C2verilog.memory_words then zero_word
+    else outside_image ()
+
+(* [seg] grown to hold index [i], at least doubling, at most [cap] words. *)
+let grown seg i ~cap =
+  let len = min cap (max (i + 1) (2 * Array.length seg)) in
+  let bigger = Array.make len zero_word in
+  Array.blit seg 0 bigger 0 (Array.length seg);
+  bigger
+
+let write st addr v =
+  let c = st.compiled in
+  let heap_base = c.C2verilog.heap_base in
+  if addr < heap_base then begin
+    if addr >= Array.length st.low then
+      st.low <- grown st.low addr ~cap:heap_base;
+    st.low.(addr) <- v
+  end
+  else begin
+    if addr >= c.C2verilog.memory_words then outside_image ();
+    let i = addr - heap_base in
+    if i >= Array.length st.heap then
+      st.heap <- grown st.heap i ~cap:(c.C2verilog.memory_words - heap_base);
+    st.heap.(i) <- v
+  end
 
 let push st v =
   if st.sp >= st.compiled.C2verilog.heap_base then error "stack overflow";
-  st.mem.(st.sp) <- Bitvec.zero_extend ~width:word_width v;
+  write st st.sp (Bitvec.zero_extend ~width:word_width v);
   st.sp <- st.sp + 1
 
 let pop st =
   if st.sp <= 0 then error "stack underflow";
   st.sp <- st.sp - 1;
-  st.mem.(st.sp)
+  read st st.sp
 
 let at_width w v = Bitvec.resize ~signed:false ~width:w v
 
@@ -60,14 +107,16 @@ let step st =
     st.pc <- next
   | C2verilog.Load ->
     let addr = Bitvec.to_int_unsigned (pop st) in
-    if addr >= Array.length st.mem then error "load out of memory (%d)" addr;
-    push st st.mem.(addr);
+    if addr >= st.compiled.C2verilog.memory_words then
+      error "load out of memory (%d)" addr;
+    push st (read st addr);
     st.pc <- next
   | C2verilog.Store ->
     let v = pop st in
     let addr = Bitvec.to_int_unsigned (pop st) in
-    if addr >= Array.length st.mem then error "store out of memory (%d)" addr;
-    st.mem.(addr) <- v;
+    if addr >= st.compiled.C2verilog.memory_words then
+      error "store out of memory (%d)" addr;
+    write st addr v;
     st.pc <- next
   | C2verilog.Bin (op, w) ->
     let b = at_width w (pop st) in
@@ -104,22 +153,23 @@ let step st =
       error "stack overflow";
     (* locals read as zero *)
     for i = st.sp to st.sp + locals - 1 do
-      st.mem.(i) <- Bitvec.zero word_width
+      write st i zero_word
     done;
     st.sp <- st.sp + locals;
     st.pc <- next
   | C2verilog.Ret { args; has_value } ->
     let value = if has_value then Some (pop st) else None in
     st.sp <- st.fp;
-    let saved_fp = Bitvec.to_int_unsigned st.mem.(st.sp - 1) in
-    let ret_pc = Bitvec.to_int_unsigned st.mem.(st.sp - 2) in
+    let saved_fp = Bitvec.to_int_unsigned (read st (st.sp - 1)) in
+    let ret_pc = Bitvec.to_int_unsigned (read st (st.sp - 2)) in
     st.sp <- st.sp - 2 - args;
     st.fp <- saved_fp;
     (match value with Some v -> push st v | None -> ());
     st.pc <- ret_pc
   | C2verilog.Alloc ->
     let words = max 1 (Bitvec.to_int (at_width 32 (pop st))) in
-    if st.hp + words >= Array.length st.mem then error "heap exhausted";
+    if st.hp + words >= st.compiled.C2verilog.memory_words then
+      error "heap exhausted";
     push st (Bitvec.of_int ~width:32 st.hp);
     st.hp <- st.hp + words;
     st.pc <- next
@@ -133,11 +183,19 @@ type outcome = {
   memories : (string * Bitvec.t array) list;
 }
 
+(* Stack words a run starts with above the globals; deeper runs grow. *)
+let initial_stack_words = 256
+
 let run ?(max_cycles = 50_000_000) (compiled : C2verilog.compiled)
     ~(ret_width : int) ~args : outcome =
   let st =
     { compiled;
-      mem = Array.make compiled.C2verilog.memory_words (Bitvec.zero word_width);
+      low =
+        Array.make
+          (min compiled.C2verilog.heap_base
+             (compiled.C2verilog.stack_base + initial_stack_words))
+          zero_word;
+      heap = [||];
       pc = compiled.C2verilog.entry_pc;
       sp = compiled.C2verilog.stack_base;
       fp = compiled.C2verilog.stack_base;
@@ -145,7 +203,7 @@ let run ?(max_cycles = 50_000_000) (compiled : C2verilog.compiled)
       cycles = 0;
       executed = 0 }
   in
-  List.iter (fun (addr, v) -> st.mem.(addr) <- v) compiled.C2verilog.initial_memory;
+  List.iter (fun (addr, v) -> write st addr v) compiled.C2verilog.initial_memory;
   if List.length args <> compiled.C2verilog.entry_args then
     error "expected %d arguments" compiled.C2verilog.entry_args;
   (* boot protocol: args, then a return pc beyond the code *)
@@ -169,15 +227,16 @@ let run ?(max_cycles = 50_000_000) (compiled : C2verilog.compiled)
           let w = max 1 (Ctypes.width elt) in
           ( scalars,
             ( name,
-              Array.init n (fun i ->
+              Arrays.init ~fill:zero_word n (fun i ->
                   Bitvec.resize ~signed:false ~width:w
-                    st.mem.(b.C2verilog.offset + i)) )
+                    (read st (b.C2verilog.offset + i))) )
             :: arrays )
         | Ctypes.Void | Ctypes.Integer _ | Ctypes.Pointer _
         | Ctypes.Function _ ->
           let w = max 1 (Ctypes.width b.C2verilog.ty) in
           ( ( name,
-              Bitvec.resize ~signed:false ~width:w st.mem.(b.C2verilog.offset) )
+              Bitvec.resize ~signed:false ~width:w
+                (read st b.C2verilog.offset) )
             :: scalars,
             arrays ))
       compiled.C2verilog.globals_layout ([], [])

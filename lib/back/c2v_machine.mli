@@ -2,9 +2,14 @@
     unified RAM + small datapath) simulated cycle-by-cycle under the
     backend's rule set, plus its Design wrapper.
 
-    Memory map: globals in [0, stack_base), the combined evaluation/call
-    stack in [stack_base, heap_base) growing up, the malloc heap above.
-    Every stored word is masked to its C type's width. *)
+    Memory map: [memory_words] words, globals in [0, stack_base), the
+    combined evaluation/call stack in [stack_base, heap_base) growing up,
+    the malloc heap above.  Every stored word is masked to its C type's
+    width.  {!run} keeps the image in two segments, globals and stack from
+    address 0 and the heap from [heap_base], each grown on demand: a run
+    allocates for the words it writes, never-written words read as zero,
+    and [memory_words] stays the size of the RAM the area, Verilog and
+    stats views report. *)
 
 exception Runtime_error of string
 exception Timeout

@@ -76,6 +76,7 @@ type compiler = {
   mutable loop_stack : (int ref list * int ref list) list;
     (* (break fixups, continue fixups) — patched when targets known *)
   mutable pending_jumps : (int * int ref) list; (* code index -> target cell *)
+  mutable frame_fixups : (int * int) list; (* Enter's code index -> locals *)
 }
 
 let emit c instr =
@@ -460,10 +461,8 @@ let compile_function c (f : Ast.func) (info : fn_info) =
     emit c (Push 0L);
     emit c (Ret { args = nargs; has_value = true })
   end;
-  (* patch the frame size *)
-  let code = Array.of_list (List.rev c.code) in
-  code.(enter_index) <- Enter !next_local;
-  c.code <- List.rev (Array.to_list code)
+  (* the frame size is patched in once the code array exists *)
+  c.frame_fixups <- (enter_index, !next_local) :: c.frame_fixups
 
 (* Gt/Ge are normalized to Lt/Le with swapped operands before emission. *)
 let rec normalize_expr (e : Ast.expr) : Ast.expr =
@@ -535,7 +534,8 @@ let compile_program (program : Ast.program) ~entry : compiled =
       global_words = 0;
       fixups = [];
       loop_stack = [];
-      pending_jumps = [] }
+      pending_jumps = [];
+      frame_fixups = [] }
   in
   (* lay out globals at the bottom of memory *)
   let initial_memory = ref [] in
@@ -576,7 +576,9 @@ let compile_program (program : Ast.program) ~entry : compiled =
       let info = Hashtbl.find c.functions f.Ast.f_name in
       compile_function c f info)
     program.Ast.funcs;
-  let code = Array.of_list (List.rev c.code) in
+  let code = Arrays.of_rev_list ~fill:Dup c.code in
+  (* patch frame sizes *)
+  List.iter (fun (index, locals) -> code.(index) <- Enter locals) c.frame_fixups;
   (* patch calls *)
   List.iter
     (fun (index, name) ->

@@ -644,7 +644,7 @@ let compile_with_policy ~backend_name ~dialect ~policy
             Hashtbl.find_opt outcome.store.Interp.globals g.Ast.g_name
             |> Option.map (fun (addr, _) ->
                    ( g.Ast.g_name,
-                     Array.init n (fun i ->
+                     Arrays.init ~fill:(Bitvec.zero 1) n (fun i ->
                          outcome.store.Interp.mem.(addr + i)) ))
           | Ctypes.Void | Ctypes.Integer _ | Ctypes.Pointer _
           | Ctypes.Function _ -> None)

@@ -121,7 +121,11 @@ let of_ssa (ssa : Ssa.t) : t =
         ignore (fresh N_return (Cir.operand_width func op) [ node_of_operand op ])
       | Cir.T_return None | Cir.T_jump _ -> ())
     func.Cir.fn_blocks;
-  { nodes = Array.of_list (List.rev !nodes); ssa }
+  { nodes =
+      Arrays.of_rev_list
+        ~fill:{ id = -1; kind = N_const; width = 0; inputs = [] }
+        !nodes;
+    ssa }
 
 type stats = {
   operators : int;

@@ -26,6 +26,13 @@ let keywords =
     "continue"; "par"; "send"; "recv"; "delay"; "constrain"; "chan"; "true";
     "false" ]
 
+(* Lookup table over [keywords], so classifying an identifier is one
+   hash rather than a scan of the list. *)
+let keyword_table =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
+
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
@@ -43,60 +50,63 @@ type state = {
 }
 
 let loc st : Ast.loc = { line = st.line; col = st.pos - st.bol + 1 }
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+
+(* Character access allocates nothing: past the end, [peek] and [peek2]
+   read as '\000', which no token pattern names; a NUL inside the source
+   is told apart from the end by [at_end]. *)
+let at_end st = st.pos >= String.length st.src
+let peek st = if st.pos < String.length st.src then st.src.[st.pos] else '\000'
 
 let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+  if st.pos + 1 < String.length st.src then st.src.[st.pos + 1] else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if peek st = '\n' then begin
     st.line <- st.line + 1;
     st.bol <- st.pos + 1
-  | Some _ | None -> ());
+  end;
   st.pos <- st.pos + 1
 
 let rec skip_trivia st =
-  match (peek st, peek2 st) with
-  | Some (' ' | '\t' | '\r' | '\n'), _ ->
-    advance st;
-    skip_trivia st
-  | Some '/', Some '/' ->
-    while peek st <> None && peek st <> Some '\n' do
-      advance st
-    done;
-    skip_trivia st
-  | Some '/', Some '*' ->
-    advance st;
-    advance st;
-    let rec close () =
-      match (peek st, peek2 st) with
-      | Some '*', Some '/' ->
-        advance st;
+  if not (at_end st) then
+    match (peek st, peek2 st) with
+    | (' ' | '\t' | '\r' | '\n'), _ ->
+      advance st;
+      skip_trivia st
+    | '/', '/' ->
+      while (not (at_end st)) && peek st <> '\n' do
         advance st
-      | None, _ -> raise (Error ("unterminated comment", loc st))
-      | Some _, _ ->
-        advance st;
-        close ()
-    in
-    close ();
-    skip_trivia st
-  | (Some _ | None), _ -> ()
+      done;
+      skip_trivia st
+    | '/', '*' ->
+      advance st;
+      advance st;
+      let rec close () =
+        if at_end st then raise (Error ("unterminated comment", loc st));
+        match (peek st, peek2 st) with
+        | '*', '/' ->
+          advance st;
+          advance st
+        | _ ->
+          advance st;
+          close ()
+      in
+      close ();
+      skip_trivia st
+    | _ -> ()
 
 let lex_number st =
   let start = st.pos in
-  let hex =
-    peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
-  in
+  let hex = peek st = '0' && (peek2 st = 'x' || peek2 st = 'X') in
   if hex then begin
     advance st;
     advance st;
-    while match peek st with Some c -> is_hex_digit c | None -> false do
+    while is_hex_digit (peek st) do
       advance st
     done
   end
   else
-    while match peek st with Some c -> is_digit c | None -> false do
+    while is_digit (peek st) do
       advance st
     done;
   let digits = String.sub st.src start (st.pos - start) in
@@ -104,7 +114,7 @@ let lex_number st =
   let suffix = ref `Plain in
   let rec suffixes () =
     match peek st with
-    | Some ('u' | 'U') ->
+    | 'u' | 'U' ->
       advance st;
       suffix :=
         (match !suffix with
@@ -112,7 +122,7 @@ let lex_number st =
         | `Long | `Unsigned_long -> `Unsigned_long
         | `Unsigned -> `Unsigned);
       suffixes ()
-    | Some ('l' | 'L') ->
+    | 'l' | 'L' ->
       advance st;
       suffix :=
         (match !suffix with
@@ -120,103 +130,110 @@ let lex_number st =
         | `Unsigned | `Unsigned_long -> `Unsigned_long
         | `Long -> `Long);
       suffixes ()
-    | Some _ | None -> ()
+    | _ -> ()
   in
   suffixes ();
   INT (value, !suffix)
 
 let lex_char_literal st =
   advance st; (* opening quote *)
+  let unterminated () = raise (Error ("unterminated char literal", loc st)) in
+  if at_end st then unterminated ();
   let c =
     match peek st with
-    | Some '\\' -> (
+    | '\\' -> (
       advance st;
+      if at_end st then unterminated ();
       match peek st with
-      | Some 'n' -> '\n'
-      | Some 't' -> '\t'
-      | Some 'r' -> '\r'
-      | Some '0' -> '\000'
-      | Some '\\' -> '\\'
-      | Some '\'' -> '\''
-      | Some c -> c
-      | None -> raise (Error ("unterminated char literal", loc st)))
-    | Some c -> c
-    | None -> raise (Error ("unterminated char literal", loc st))
+      | 'n' -> '\n'
+      | 't' -> '\t'
+      | 'r' -> '\r'
+      | '0' -> '\000'
+      | c -> c)
+    | c -> c
   in
   advance st;
-  (match peek st with
-  | Some '\'' -> advance st
-  | Some _ | None -> raise (Error ("unterminated char literal", loc st)));
+  if peek st = '\'' then advance st else unterminated ();
   INT (Int64.of_int (Char.code c), `Plain)
+
+let two st tok =
+  advance st;
+  advance st;
+  tok
+
+let one st tok =
+  advance st;
+  tok
 
 let lex_token st =
   skip_trivia st;
-  let l = loc st in
-  let two tok = advance st; advance st; tok in
-  let one tok = advance st; tok in
+  let line = st.line and col = st.pos - st.bol + 1 in
   let token =
-    match (peek st, peek2 st) with
-    | None, _ -> EOF
-    | Some '\'', _ -> lex_char_literal st
-    | Some c, _ when is_digit c -> lex_number st
-    | Some c, _ when is_ident_start c ->
-      let start = st.pos in
-      while match peek st with Some c -> is_ident_char c | None -> false do
-        advance st
-      done;
-      let name = String.sub st.src start (st.pos - start) in
-      if List.mem name keywords then KW name else ID name
-    | Some '+', Some '+' -> two PLUSPLUS
-    | Some '-', Some '-' -> two MINUSMINUS
-    | Some '+', Some '=' -> two (OP_ASSIGN "+")
-    | Some '-', Some '=' -> two (OP_ASSIGN "-")
-    | Some '*', Some '=' -> two (OP_ASSIGN "*")
-    | Some '/', Some '=' -> two (OP_ASSIGN "/")
-    | Some '%', Some '=' -> two (OP_ASSIGN "%")
-    | Some '&', Some '=' -> two (OP_ASSIGN "&")
-    | Some '|', Some '=' -> two (OP_ASSIGN "|")
-    | Some '^', Some '=' -> two (OP_ASSIGN "^")
-    | Some '<', Some '<' ->
-      advance st;
-      advance st;
-      if peek st = Some '=' then one (OP_ASSIGN "<<") else LSHIFT
-    | Some '>', Some '>' ->
-      advance st;
-      advance st;
-      if peek st = Some '=' then one (OP_ASSIGN ">>") else RSHIFT
-    | Some '=', Some '=' -> two EQEQ
-    | Some '!', Some '=' -> two NEQ
-    | Some '<', Some '=' -> two LE
-    | Some '>', Some '=' -> two GE
-    | Some '&', Some '&' -> two ANDAND
-    | Some '|', Some '|' -> two OROR
-    | Some '+', _ -> one PLUS
-    | Some '-', _ -> one MINUS
-    | Some '*', _ -> one STAR
-    | Some '/', _ -> one SLASH
-    | Some '%', _ -> one PERCENT
-    | Some '&', _ -> one AMP
-    | Some '|', _ -> one PIPE
-    | Some '^', _ -> one CARET
-    | Some '~', _ -> one TILDE
-    | Some '!', _ -> one BANG
-    | Some '<', _ -> one LT
-    | Some '>', _ -> one GT
-    | Some '=', _ -> one ASSIGN
-    | Some '(', _ -> one LPAREN
-    | Some ')', _ -> one RPAREN
-    | Some '{', _ -> one LBRACE
-    | Some '}', _ -> one RBRACE
-    | Some '[', _ -> one LBRACKET
-    | Some ']', _ -> one RBRACKET
-    | Some ';', _ -> one SEMI
-    | Some ',', _ -> one COMMA
-    | Some '?', _ -> one QUESTION
-    | Some ':', _ -> one COLON
-    | Some c, _ ->
-      raise (Error (Printf.sprintf "unexpected character %C" c, l))
+    if at_end st then EOF
+    else
+      match (peek st, peek2 st) with
+      | '\'', _ -> lex_char_literal st
+      | c, _ when is_digit c -> lex_number st
+      | c, _ when is_ident_start c ->
+        let start = st.pos in
+        while is_ident_char (peek st) do
+          advance st
+        done;
+        let name = String.sub st.src start (st.pos - start) in
+        if Hashtbl.mem keyword_table name then KW name else ID name
+      | '+', '+' -> two st PLUSPLUS
+      | '-', '-' -> two st MINUSMINUS
+      | '+', '=' -> two st (OP_ASSIGN "+")
+      | '-', '=' -> two st (OP_ASSIGN "-")
+      | '*', '=' -> two st (OP_ASSIGN "*")
+      | '/', '=' -> two st (OP_ASSIGN "/")
+      | '%', '=' -> two st (OP_ASSIGN "%")
+      | '&', '=' -> two st (OP_ASSIGN "&")
+      | '|', '=' -> two st (OP_ASSIGN "|")
+      | '^', '=' -> two st (OP_ASSIGN "^")
+      | '<', '<' ->
+        advance st;
+        advance st;
+        if peek st = '=' then one st (OP_ASSIGN "<<") else LSHIFT
+      | '>', '>' ->
+        advance st;
+        advance st;
+        if peek st = '=' then one st (OP_ASSIGN ">>") else RSHIFT
+      | '=', '=' -> two st EQEQ
+      | '!', '=' -> two st NEQ
+      | '<', '=' -> two st LE
+      | '>', '=' -> two st GE
+      | '&', '&' -> two st ANDAND
+      | '|', '|' -> two st OROR
+      | '+', _ -> one st PLUS
+      | '-', _ -> one st MINUS
+      | '*', _ -> one st STAR
+      | '/', _ -> one st SLASH
+      | '%', _ -> one st PERCENT
+      | '&', _ -> one st AMP
+      | '|', _ -> one st PIPE
+      | '^', _ -> one st CARET
+      | '~', _ -> one st TILDE
+      | '!', _ -> one st BANG
+      | '<', _ -> one st LT
+      | '>', _ -> one st GT
+      | '=', _ -> one st ASSIGN
+      | '(', _ -> one st LPAREN
+      | ')', _ -> one st RPAREN
+      | '{', _ -> one st LBRACE
+      | '}', _ -> one st RBRACE
+      | '[', _ -> one st LBRACKET
+      | ']', _ -> one st RBRACKET
+      | ';', _ -> one st SEMI
+      | ',', _ -> one st COMMA
+      | '?', _ -> one st QUESTION
+      | ':', _ -> one st COLON
+      | c, _ ->
+        raise
+          (Error
+             (Printf.sprintf "unexpected character %C" c, { Ast.line; col }))
   in
-  { t = token; tline = l.line; tcol = l.col }
+  { t = token; tline = line; tcol = col }
 
 (** Tokenize a complete source string (the trailing token is [EOF]). *)
 let tokenize src =

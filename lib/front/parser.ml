@@ -534,9 +534,15 @@ let parse_top_level st (globals, chans, funcs) =
       (g :: globals, chans, funcs)
   end
 
+let start src =
+  { toks =
+      Arrays.of_list ~fill:{ Lexer.t = Lexer.EOF; tline = 0; tcol = 0 }
+        (Lexer.tokenize src);
+    pos = 0 }
+
 (** Parse a complete translation unit. *)
 let parse_program src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); pos = 0 } in
+  let st = start src in
   let rec go acc =
     if peek_token st = Lexer.EOF then acc else go (parse_top_level st acc)
   in
@@ -547,7 +553,7 @@ let parse_program src =
 
 (** Parse a single expression (used by tests and the Ocapi examples). *)
 let parse_expression src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); pos = 0 } in
+  let st = start src in
   let e = parse_expr st in
   if peek_token st <> Lexer.EOF then fail st "trailing tokens";
   e

@@ -39,7 +39,13 @@ let of_int ~width n = make ~width (Int64.of_int n)
 let of_int64 ~width n = make ~width n
 let of_bool b = make ~width:1 (if b then 1L else 0L)
 
-let zero width = make ~width 0L
+(* One immutable zero per width, shared.  [zero] then allocates nothing,
+   and an array filled with it starts from an old value (see Arrays). *)
+let zeros = Array.init (max_width + 1) (fun width -> { width; bits = 0L })
+
+let zero width =
+  if width >= 1 && width <= max_width then zeros.(width) else make ~width 0L
+
 let one width = make ~width 1L
 let ones width = make ~width (-1L)
 let is_zero t = Int64.equal t.bits 0L
@@ -147,7 +153,7 @@ let concat hi lo =
 
 let zero_extend ~width t =
   if width < t.width then invalid_arg "Bitvec.zero_extend: narrowing";
-  make ~width t.bits
+  if width = t.width then t else make ~width t.bits
 
 let sign_extend ~width t =
   if width < t.width then invalid_arg "Bitvec.sign_extend: narrowing";

@@ -31,6 +31,9 @@ val of_bool : bool -> t
 (** 1-bit 0 or 1. *)
 
 val zero : int -> t
+(** Shared per width: allocates nothing, and is a valid [fill] for
+    {!Arrays}. *)
+
 val one : int -> t
 
 val ones : int -> t

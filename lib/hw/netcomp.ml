@@ -245,9 +245,12 @@ let compile nl =
     | None -> ()
   done;
   let levels =
-    Array.of_list
+    Arrays.of_list ~fill:[||]
       (List.filter_map
-         (fun b -> match b with [] -> None | _ -> Some (Array.of_list b))
+         (fun b ->
+           match b with
+           | [] -> None
+           | _ -> Some (Arrays.of_list ~fill:(ignore : unit -> unit) b))
          (Array.to_list buckets))
   in
   let wports =

@@ -51,8 +51,12 @@ type t = {
          changed since it was computed (see [fanouts]) *)
 }
 
+(* Fills unused node slots: one long-lived value rather than a fresh
+   [Const] per growth (see Arrays). *)
+let placeholder = Const (Bitvec.zero 1)
+
 let create ?(name = "top") () =
-  { nodes = Array.make 64 (Const (Bitvec.zero 1));
+  { nodes = Array.make 64 placeholder;
     widths = Array.make 64 0;
     count = 0;
     mems = [];
@@ -67,7 +71,7 @@ let name t = t.name
 
 let ensure_capacity t =
   if t.count = Array.length t.nodes then begin
-    let nodes = Array.make (2 * t.count) (Const (Bitvec.zero 1)) in
+    let nodes = Array.make (2 * t.count) placeholder in
     let widths = Array.make (2 * t.count) 0 in
     Array.blit t.nodes 0 nodes 0 t.count;
     Array.blit t.widths 0 widths 0 t.count;

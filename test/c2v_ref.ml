@@ -1,0 +1,173 @@
+(* Test-only reference C2Verilog machine: the full-image [C2v_machine.run]
+   as it was before memory grew on demand.  Every run allocates the whole
+   [memory_words] RAM up front, zero-filled.  The differential tests in
+   test_c2v.ml hold the production machine to identical outcomes and
+   identical errors against this one. *)
+
+let error fmt =
+  Printf.ksprintf (fun m -> raise (C2v_machine.Runtime_error m)) fmt
+
+type state = {
+  compiled : C2verilog.compiled;
+  mem : Bitvec.t array; (* 64-bit words, each masked to its value width *)
+  mutable pc : int;
+  mutable sp : int; (* next free slot *)
+  mutable fp : int;
+  mutable hp : int; (* heap bump pointer *)
+  mutable cycles : int;
+  mutable executed : int;
+}
+
+let word_width = 64
+
+let push st v =
+  if st.sp >= st.compiled.C2verilog.heap_base then error "stack overflow";
+  st.mem.(st.sp) <- Bitvec.zero_extend ~width:word_width v;
+  st.sp <- st.sp + 1
+
+let pop st =
+  if st.sp <= 0 then error "stack underflow";
+  st.sp <- st.sp - 1;
+  st.mem.(st.sp)
+
+let at_width w v = Bitvec.resize ~signed:false ~width:w v
+
+let step st =
+  let code = st.compiled.C2verilog.code in
+  if st.pc < 0 || st.pc >= Array.length code then error "pc out of range";
+  let instr = code.(st.pc) in
+  st.cycles <- st.cycles + C2verilog.cycles_of_instr instr;
+  st.executed <- st.executed + 1;
+  let next = st.pc + 1 in
+  (match instr with
+  | C2verilog.Push v ->
+    push st (Bitvec.of_int64 ~width:word_width v);
+    st.pc <- next
+  | C2verilog.Push_global_addr a ->
+    push st (Bitvec.of_int ~width:32 a);
+    st.pc <- next
+  | C2verilog.Push_frame_addr off ->
+    push st (Bitvec.of_int ~width:32 (st.fp + off));
+    st.pc <- next
+  | C2verilog.Load ->
+    let addr = Bitvec.to_int_unsigned (pop st) in
+    if addr >= Array.length st.mem then error "load out of memory (%d)" addr;
+    push st st.mem.(addr);
+    st.pc <- next
+  | C2verilog.Store ->
+    let v = pop st in
+    let addr = Bitvec.to_int_unsigned (pop st) in
+    if addr >= Array.length st.mem then error "store out of memory (%d)" addr;
+    st.mem.(addr) <- v;
+    st.pc <- next
+  | C2verilog.Bin (op, w) ->
+    let b = at_width w (pop st) in
+    let a = at_width w (pop st) in
+    push st (Neteval.apply_binop op a b);
+    st.pc <- next
+  | C2verilog.Un (op, w) ->
+    let a = at_width w (pop st) in
+    push st (Neteval.apply_unop op a);
+    st.pc <- next
+  | C2verilog.Cast { signed; from_width; to_width } ->
+    let v = Bitvec.resize ~signed:false ~width:from_width (pop st) in
+    push st (Bitvec.resize ~signed ~width:to_width v);
+    st.pc <- next
+  | C2verilog.Dup ->
+    let v = pop st in
+    push st v;
+    push st v;
+    st.pc <- next
+  | C2verilog.Drop ->
+    ignore (pop st);
+    st.pc <- next
+  | C2verilog.Jump target -> st.pc <- target
+  | C2verilog.Jump_if_zero target ->
+    let v = pop st in
+    st.pc <- (if Bitvec.is_zero v then target else next)
+  | C2verilog.Call (target, _nargs) ->
+    push st (Bitvec.of_int ~width:32 next);
+    st.pc <- target
+  | C2verilog.Enter locals ->
+    push st (Bitvec.of_int ~width:32 st.fp);
+    st.fp <- st.sp;
+    if st.sp + locals >= st.compiled.C2verilog.heap_base then
+      error "stack overflow";
+    (* locals read as zero *)
+    for i = st.sp to st.sp + locals - 1 do
+      st.mem.(i) <- Bitvec.zero word_width
+    done;
+    st.sp <- st.sp + locals;
+    st.pc <- next
+  | C2verilog.Ret { args; has_value } ->
+    let value = if has_value then Some (pop st) else None in
+    st.sp <- st.fp;
+    let saved_fp = Bitvec.to_int_unsigned st.mem.(st.sp - 1) in
+    let ret_pc = Bitvec.to_int_unsigned st.mem.(st.sp - 2) in
+    st.sp <- st.sp - 2 - args;
+    st.fp <- saved_fp;
+    (match value with Some v -> push st v | None -> ());
+    st.pc <- ret_pc
+  | C2verilog.Alloc ->
+    let words = max 1 (Bitvec.to_int (at_width 32 (pop st))) in
+    if st.hp + words >= Array.length st.mem then error "heap exhausted";
+    push st (Bitvec.of_int ~width:32 st.hp);
+    st.hp <- st.hp + words;
+    st.pc <- next
+  | C2verilog.Halt _ -> error "halt reached outside the boot protocol")
+
+let run ?(max_cycles = 50_000_000) (compiled : C2verilog.compiled)
+    ~(ret_width : int) ~args : C2v_machine.outcome =
+  let st =
+    { compiled;
+      mem = Array.make compiled.C2verilog.memory_words (Bitvec.zero word_width);
+      pc = compiled.C2verilog.entry_pc;
+      sp = compiled.C2verilog.stack_base;
+      fp = compiled.C2verilog.stack_base;
+      hp = compiled.C2verilog.heap_base;
+      cycles = 0;
+      executed = 0 }
+  in
+  List.iter (fun (addr, v) -> st.mem.(addr) <- v) compiled.C2verilog.initial_memory;
+  if List.length args <> compiled.C2verilog.entry_args then
+    error "expected %d arguments" compiled.C2verilog.entry_args;
+  (* boot protocol: args, then a return pc beyond the code *)
+  let halt_pc = Array.length compiled.C2verilog.code in
+  List.iter (fun v -> push st v) args;
+  push st (Bitvec.of_int ~width:32 halt_pc);
+  while st.pc <> halt_pc do
+    if st.cycles > max_cycles then raise C2v_machine.Timeout;
+    step st
+  done;
+  let return_value =
+    if ret_width > 0 && st.sp > compiled.C2verilog.stack_base then
+      Some (Bitvec.resize ~signed:false ~width:ret_width (pop st))
+    else None
+  in
+  let read_layout () =
+    Hashtbl.fold
+      (fun name (b : C2verilog.var_binding) (scalars, arrays) ->
+        match b.C2verilog.ty with
+        | Ctypes.Array (elt, n) ->
+          let w = max 1 (Ctypes.width elt) in
+          ( scalars,
+            ( name,
+              Array.init n (fun i ->
+                  Bitvec.resize ~signed:false ~width:w
+                    st.mem.(b.C2verilog.offset + i)) )
+            :: arrays )
+        | Ctypes.Void | Ctypes.Integer _ | Ctypes.Pointer _
+        | Ctypes.Function _ ->
+          let w = max 1 (Ctypes.width b.C2verilog.ty) in
+          ( ( name,
+              Bitvec.resize ~signed:false ~width:w st.mem.(b.C2verilog.offset) )
+            :: scalars,
+            arrays ))
+      compiled.C2verilog.globals_layout ([], [])
+  in
+  let globals, memories = read_layout () in
+  { C2v_machine.return_value;
+    cycles = st.cycles;
+    instructions_executed = st.executed;
+    globals;
+    memories }

@@ -119,6 +119,123 @@ let test_globals_initialized_in_memory_image () =
   Alcotest.(check (option int)) "reads the image" (Some 7)
     (Design.run_int d [])
 
+(* --- differential: on-demand memory vs the full-image reference ------- *)
+
+let ret_width program entry =
+  match Ast.find_func program entry with
+  | Some f -> max 0 (Ctypes.width f.Ast.f_ret)
+  | None -> 0
+
+(* A run's outcome, or the exception it ended in, as one comparable
+   value. *)
+let outcome_of run compiled ~ret_width args =
+  match run compiled ~ret_width ~args:(Design.int_args args) with
+  | (o : C2v_machine.outcome) -> Ok o
+  | exception e -> Error (Printexc.to_string e)
+
+let show_outcome = function
+  | Error e -> "raised " ^ e
+  | Ok (o : C2v_machine.outcome) ->
+    let bv = Bitvec.to_hex_string in
+    Printf.sprintf "result %s, %d cycles, %d instrs, globals [%s], memories [%s]"
+      (Option.fold ~none:"none" ~some:bv o.C2v_machine.return_value)
+      o.C2v_machine.cycles o.C2v_machine.instructions_executed
+      (String.concat "; "
+         (List.map (fun (n, v) -> n ^ "=" ^ bv v) o.C2v_machine.globals))
+      (String.concat "; "
+         (List.map
+            (fun (n, a) ->
+              n ^ "=" ^ String.concat "," (Array.to_list (Array.map bv a)))
+            o.C2v_machine.memories))
+
+(* [None] when the production machine and the reference agree on every
+   vector, else the first difference. *)
+let machine_diff program ~entry vectors =
+  let compiled = C2verilog.compile_program program ~entry in
+  let ret_width = ret_width program entry in
+  List.find_map
+    (fun args ->
+      let got = outcome_of (C2v_machine.run ?max_cycles:None) compiled ~ret_width args
+      and want = outcome_of (C2v_ref.run ?max_cycles:None) compiled ~ret_width args in
+      if got = want then None
+      else
+        Some
+          (Printf.sprintf "args [%s]: got %s; reference %s"
+             (String.concat "," (List.map string_of_int args))
+             (show_outcome got) (show_outcome want)))
+    vectors
+
+let accepted program =
+  match Backend.reject_if_illegal ~backend:"c2verilog" Dialect.c2verilog program with
+  | () -> true
+  | exception Backend.Dialect_rejected _ -> false
+
+let test_corpus_matches_reference () =
+  let checked =
+    List.fold_left
+      (fun n (w : Workloads.t) ->
+        let program = Workloads.parse w in
+        if not (accepted program) then n
+        else begin
+          (match machine_diff program ~entry:w.Workloads.entry w.Workloads.arg_sets with
+          | None -> ()
+          | Some d -> Alcotest.failf "%s: %s" w.Workloads.name d);
+          n + 1
+        end)
+      0 Workloads.all
+  in
+  Alcotest.(check bool) "the thorny kernels are among those checked" true
+    (checked >= List.length Workloads.thorny)
+
+let fuzz_matches_reference =
+  QCheck.Test.make ~name:"fuzzed c2verilog programs match the reference machine"
+    ~count:100
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, index) ->
+      let program =
+        Typecheck.parse_and_check
+          (Pretty.program_to_string
+             (Fuzzgen.generate Dialect.c2verilog ~seed ~index))
+      in
+      match machine_diff program ~entry:Fuzz.entry Fuzz.default_arg_sets with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+let edge_case name src ~entry vectors () =
+  match machine_diff (Typecheck.parse_and_check src) ~entry vectors with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s" name d
+
+let edge_cases =
+  [ ( "uninitialised malloc words",
+      {|
+      int f(int n) {
+        int* p = malloc(n);
+        int* q = malloc(3);
+        q[1] = 9;
+        return p[0] + p[n - 1] + q[0] + q[1] + q[2];
+      }
+      |},
+      "f", [ [ 1 ]; [ 40 ]; [ 5000 ] ] );
+    ( "stack slots reused after a deeper call",
+      {|
+      int deep(int n) {
+        int a = n * 3;
+        int b = a + 7;
+        if (n > 0) { return deep(n - 1) + a + b; }
+        return a - b;
+      }
+      int shallow(void) { int x; int y; return x + y; }
+      int f(int n) { int r = deep(n); return r + shallow(); }
+      |},
+      "f", [ [ 0 ]; [ 3 ]; [ 30 ] ] );
+    ( "recursion depth 500",
+      "int sum(int n) { if (n <= 0) { return 0; } return n + sum(n - 1); }",
+      "sum", [ [ 500 ] ] );
+    ( "unbounded recursion",
+      "int loop(int n) { return loop(n + 1); }",
+      "loop", [ [ 0 ] ] ) ]
+
 let suite =
   ( "c2verilog",
     [ Alcotest.test_case "codegen shape" `Quick test_codegen_shape;
@@ -133,4 +250,12 @@ let suite =
       Alcotest.test_case "cycle rules" `Quick test_cycle_rules;
       Alcotest.test_case "verilog view" `Quick test_verilog_view;
       Alcotest.test_case "global memory image" `Quick
-        test_globals_initialized_in_memory_image ] )
+        test_globals_initialized_in_memory_image;
+      Alcotest.test_case "corpus matches full-image reference" `Quick
+        test_corpus_matches_reference;
+      QCheck_alcotest.to_alcotest fuzz_matches_reference ]
+    @ List.map
+        (fun (name, src, entry, vectors) ->
+          Alcotest.test_case ("reference: " ^ name) `Quick
+            (edge_case name src ~entry vectors))
+        edge_cases )

@@ -32,6 +32,36 @@ let test_lexer_positions () =
     Alcotest.(check int) "b col" 3 b.Lexer.tcol
   | _ -> Alcotest.fail "expected two tokens"
 
+(* The end of input, a NUL inside it, and the error paths of comments and
+   character literals. *)
+let test_lexer_edges () =
+  let lex_error src =
+    match Lexer.tokenize src with
+    | _ -> Alcotest.failf "%S: expected a lexer error" src
+    | exception Lexer.Error (msg, (loc : Ast.loc)) ->
+      Printf.sprintf "%s@%d:%d" msg loc.line loc.col
+  in
+  Alcotest.(check string) "NUL mid-source" "unexpected character '\\000'@1:3"
+    (lex_error "a \000 b");
+  Alcotest.(check string) "unterminated comment" "unterminated comment@2:3"
+    (lex_error "x /* a\n *");
+  Alcotest.(check string) "char literal at end" "unterminated char literal@1:2"
+    (lex_error "'");
+  Alcotest.(check string) "escape at end" "unterminated char literal@1:3"
+    (lex_error "'\\");
+  Alcotest.(check string) "unclosed char literal" "unterminated char literal@1:3"
+    (lex_error "'a");
+  (match List.map (fun (t : Lexer.tok) -> t.t) (Lexer.tokenize "'\\n' '\\'' '\\q'") with
+  | [ INT (10L, `Plain); INT (39L, `Plain); INT (113L, `Plain); EOF ] -> ()
+  | _ -> Alcotest.fail "char escapes");
+  (match List.map (fun (t : Lexer.tok) -> t.t) (Lexer.tokenize "_Bool integer x>>=1 // end") with
+  | [ KW "_Bool"; ID "integer"; ID "x"; OP_ASSIGN ">>"; INT (1L, `Plain); EOF ] -> ()
+  | _ -> Alcotest.fail "keywords, identifiers and operators");
+  match List.rev (Lexer.tokenize "a\n b\n") with
+  | eof :: _ ->
+    Alcotest.(check (pair int int)) "EOF position" (3, 1) (eof.Lexer.tline, eof.Lexer.tcol)
+  | [] -> Alcotest.fail "no EOF token"
+
 let test_parse_simple_function () =
   let p = parse "int add(int a, int b) { return a + b; }" in
   Alcotest.(check int) "one function" 1 (List.length p.funcs);
@@ -233,6 +263,7 @@ let suite =
       Alcotest.test_case "lexer comments/suffixes" `Quick
         test_lexer_comments_and_suffixes;
       Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
+      Alcotest.test_case "lexer edges" `Quick test_lexer_edges;
       Alcotest.test_case "parse simple function" `Quick
         test_parse_simple_function;
       Alcotest.test_case "parse precedence" `Quick test_parse_precedence;
