@@ -115,10 +115,6 @@ let () =
   Serve_bench.run_all ();
   Experiments.run_all ();
   Ablations.run_all ();
-  (* the settle-strategy comparison always runs: its node-eval counters are
-     deterministic (only the wall-time column is machine-dependent) and it
-     doubles as a differential check of the event-driven evaluator *)
-  Neteval_bench.run_all ();
   (* the driver sweep's cache counters are likewise deterministic *)
   Driver_bench.run_all ();
   (* fuzz corpus + oracle-agreement matrix: deterministic generation, so

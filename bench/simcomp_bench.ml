@@ -13,11 +13,11 @@
      every cycle;
    - compiled netlist (Netcomp): levelized closure arrays over the
      elaborated netlist, compiled once and reset between runs;
-   - interpreting netlist (Neteval event-driven and full-sweep): the
-     graph-walking engines the ROADMAP item is aimed at.
+   - interpreting netlist (Neteval): the full-sweep reference the
+     compiled netlist engine is checked against.
 
    The headline speedup column is the default compiled engine against
-   the event-driven netlist interpreter — the same design simulated
+   the netlist reference interpreter — the same design simulated
    cycle-accurately both ways (the netlist run takes one extra cycle for
    the done handshake; each engine's cycles/sec uses its own cycle
    count).  The same-level ratios (Fsmdcomp/Rtlsim, Netcomp/Neteval)
@@ -42,8 +42,7 @@ type row = {
   fsmd_comp_cps : float; (* Fsmdcomp, precompiled *)
   fsmd_interp_cps : float; (* Rtlsim *)
   net_comp_cps : float; (* Netcomp, precompiled *)
-  net_event_cps : float; (* Neteval event-driven *)
-  net_sweep_cps : float; (* Neteval full-sweep *)
+  net_ref_cps : float; (* Neteval full sweep *)
   verified : bool;
 }
 
@@ -104,12 +103,8 @@ let run_kernel (w : Workloads.t) =
     Netcomp.reset neng;
     Netcomp.drive neng ~inputs ~done_name:"done" ~max_cycles:2_000_000
   in
-  let run_ne () =
+  let run_nr () =
     Neteval.run_until_done nl ~inputs ~done_name:"done" ~max_cycles:2_000_000
-  in
-  let run_ns () =
-    let t = Neteval.create ~strategy:Neteval.Full_sweep nl in
-    Neteval.drive t ~inputs ~done_name:"done" ~max_cycles:2_000_000
   in
   (* verify compiled = interpreting oracle at both levels before timing *)
   let oc = run_fc () and oi = run_fi () in
@@ -123,14 +118,9 @@ let run_kernel (w : Workloads.t) =
          oc.Rtlsim.memories oi.Rtlsim.memories
     && oc.Rtlsim.states_visited = oi.Rtlsim.states_visited
   in
-  match (run_nc (), run_ne (), run_ns ()) with
-  | Ok (nc_out, nc_cycles), Ok (ne_out, ne_cycles), Ok (ns_out, ns_cycles) ->
-    let net_ok =
-      nc_cycles = ne_cycles
-      && ne_cycles = ns_cycles
-      && named_eq Bitvec.equal nc_out ne_out
-      && named_eq Bitvec.equal nc_out ns_out
-    in
+  match (run_nc (), run_nr ()) with
+  | Ok (nc_out, nc_cycles), Ok (nr_out, nr_cycles) ->
+    let net_ok = nc_cycles = nr_cycles && named_eq Bitvec.equal nc_out nr_out in
     let cps cycles t = float_of_int cycles /. Float.max 1e-9 t in
     { name = w.Workloads.name;
       args = int_args;
@@ -140,14 +130,13 @@ let run_kernel (w : Workloads.t) =
       fsmd_comp_cps = cps oc.Rtlsim.cycles (time_runs run_fc);
       fsmd_interp_cps = cps oc.Rtlsim.cycles (time_runs run_fi);
       net_comp_cps = cps nc_cycles (time_runs run_nc);
-      net_event_cps = cps nc_cycles (time_runs run_ne);
-      net_sweep_cps = cps nc_cycles (time_runs run_ns);
+      net_ref_cps = cps nc_cycles (time_runs run_nr);
       verified = fsmd_ok && net_ok }
   | _ -> failwith ("simcomp bench: " ^ w.Workloads.name ^ " timed out")
 
-(* headline: the default compiled engine vs the event-driven netlist
-   interpreter (the graph-walking engine of BENCH_neteval) *)
-let speedup r = r.fsmd_comp_cps /. Float.max 1e-9 r.net_event_cps
+(* headline: the default compiled engine vs the netlist reference
+   interpreter *)
+let speedup r = r.fsmd_comp_cps /. Float.max 1e-9 r.net_ref_cps
 
 let json_of_row r =
   Metrics.Obj
@@ -159,16 +148,13 @@ let json_of_row r =
       ("fsmd_compiled_cycles_per_sec", Metrics.Fixed (0, r.fsmd_comp_cps));
       ("fsmd_interp_cycles_per_sec", Metrics.Fixed (0, r.fsmd_interp_cps));
       ("netlist_compiled_cycles_per_sec", Metrics.Fixed (0, r.net_comp_cps));
-      ("netlist_event_cycles_per_sec", Metrics.Fixed (0, r.net_event_cps));
-      ("netlist_sweep_cycles_per_sec", Metrics.Fixed (0, r.net_sweep_cps));
-      ("speedup_vs_event_interp", Metrics.Fixed (1, speedup r));
-      ( "speedup_vs_sweep_interp",
-        Metrics.Fixed (1, r.fsmd_comp_cps /. Float.max 1e-9 r.net_sweep_cps) );
+      ("netlist_reference_cycles_per_sec", Metrics.Fixed (0, r.net_ref_cps));
+      ("speedup_vs_reference_interp", Metrics.Fixed (1, speedup r));
       ( "fsmd_compiled_vs_rtlsim",
         Metrics.Fixed (2, r.fsmd_comp_cps /. Float.max 1e-9 r.fsmd_interp_cps)
       );
-      ( "netlist_compiled_vs_event",
-        Metrics.Fixed (2, r.net_comp_cps /. Float.max 1e-9 r.net_event_cps) );
+      ( "netlist_compiled_vs_reference",
+        Metrics.Fixed (2, r.net_comp_cps /. Float.max 1e-9 r.net_ref_cps) );
       ("verified_vs_interpreters", Metrics.Bool r.verified) ]
 
 let emit_json path rows =
@@ -180,16 +166,16 @@ let emit_json path rows =
 
 let print_rows rows =
   Printf.printf "\ncycles/sec by engine (compiled engines precompiled):\n";
-  let widths = [ 14; 7; 10; 10; 10; 9; 9; 8; 9 ] in
+  let widths = [ 14; 7; 10; 10; 10; 10; 8; 9 ] in
   Tables.table widths
-    [ "kernel"; "cycles"; "fsmd-comp"; "rtlsim"; "net-comp"; "event";
-      "sweep"; "speedup"; "verified" ]
+    [ "kernel"; "cycles"; "fsmd-comp"; "rtlsim"; "net-comp"; "net-ref";
+      "speedup"; "verified" ]
     (List.map
        (fun r ->
          let m f = Printf.sprintf "%.2fM" (f /. 1e6) in
          [ r.name; Tables.i r.fsmd_cycles;
            m r.fsmd_comp_cps; m r.fsmd_interp_cps; m r.net_comp_cps;
-           m r.net_event_cps; m r.net_sweep_cps;
+           m r.net_ref_cps;
            Printf.sprintf "%.0fx" (speedup r);
            (if r.verified then "yes" else "NO") ])
        rows)
@@ -199,7 +185,7 @@ let run_kernels kernels =
     "the design builds its own simulator — per-state closures at the FSMD \
      level, levelized closures at the netlist level — with the \
      interpreters kept as bit-exact differential oracles; speedup column \
-     is the default compiled engine vs the event-driven netlist \
+     is the default compiled engine vs the netlist reference \
      interpreter";
   let rows = List.map run_kernel kernels in
   print_rows rows;
@@ -215,7 +201,8 @@ let run_kernels kernels =
   let fast = List.length (List.filter (fun r -> speedup r >= 10.) rows) in
   Printf.printf
     "\nAll runs verified against the interpreting oracles; %d/%d kernels \
-     at >= 10x vs the event-driven interpreter; wrote BENCH_simcomp.json\n"
+     at >= 10x vs the netlist reference interpreter; wrote \
+     BENCH_simcomp.json\n"
     fast (List.length rows)
 
 let run_all () = run_kernels kernels

@@ -29,6 +29,9 @@ let or_located_error file f =
   | exception Lower.Error (msg, loc) -> located loc msg
   | exception Interp.Internal_error (msg, loc) ->
     located loc ("internal error: " ^ msg)
+  | exception Interp.Timeout ->
+    located Ast.no_loc
+      "did not terminate within the interpreter's step budget"
 
 let parse_args_list s =
   if String.trim s = "" then []
@@ -229,8 +232,8 @@ let stats_flag =
            ~doc:
              "With --args: print netlist-evaluator performance counters \
               (nodes evaluated, events propagated, cycles, wall time) for \
-              the run, comparing event-driven settling against the \
-              full-sweep oracle")
+              the run, comparing the compiled engine against the \
+              full-sweep reference")
 
 let trace_passes_flag =
   Arg.(value & flag
@@ -269,45 +272,46 @@ let vcd_netlist_arg =
        & info [ "vcd-netlist" ] ~docv:"OUT.vcd"
            ~doc:
              "With --args: drive the elaborated netlist through the \
-              event-driven evaluator and write every signal change as a \
-              VCD waveform (the event worklist is the change list)")
+              compiled netlist engine and write every committed signal \
+              change as a VCD waveform")
 
 let profile_flag =
   Arg.(value & flag
        & info [ "profile" ]
            ~doc:
              "With --args: print execution histograms — FSM state visit \
-              counts (summing to the cycle count) and the hottest netlist \
-              nodes by evaluation count")
+              counts (summing to the cycle count) and the most active \
+              netlist nodes by value-change count")
 
 let sim_arg =
   let engine =
     Arg.enum
       [ ("compiled", Design.Compiled);
-        ("event", Design.Event_driven);
-        ("sweep", Design.Full_sweep) ]
+        ("reference", Design.Reference);
+        ("event", Design.Reference);
+        ("sweep", Design.Reference) ]
   in
   Arg.(value & opt engine Design.Compiled
        & info [ "sim" ] ~docv:"ENGINE"
            ~doc:
              "Simulation engine for the behavioural run: $(b,compiled) \
-              (levelized closure evaluator, the default), $(b,event) \
-              (event-driven interpreter) or $(b,sweep) (full-sweep \
-              oracle).  Backends with a single simulator ignore the \
-              selection; designs wider than 62 bits fall back to the \
-              interpreter.")
+              (levelized closure evaluator, the default) or \
+              $(b,reference) (the interpreting oracle; $(b,event) and \
+              $(b,sweep) are accepted as aliases).  Backends with a \
+              single simulator ignore the selection; designs wider than \
+              62 bits fall back to the interpreter.")
 
 let verify_sim_flag =
   Arg.(value & flag
        & info [ "verify-sim" ]
            ~doc:
-             "With --args: run the compiled engine and the event-driven \
+             "With --args: run the compiled engine and the reference \
               oracle on the same vectors and fail (exit 2) unless result, \
               globals, memories, cycle count and VCD change stream are \
               bit-identical")
 
-(* Drive the design's netlist view through the evaluator under both settling
-   strategies and print the activity counters side by side. *)
+(* Drive the design's netlist view through the compiled engine and the
+   reference evaluator and print their activity counters side by side. *)
 let print_sim_stats (design : Design.t) args =
   match design.Design.netlist () with
   | None ->
@@ -337,8 +341,7 @@ let print_sim_stats (design : Design.t) args =
       in
       Printf.printf "netlist evaluator stats (%d nodes):\n" (Netlist.length nl);
       if not (List.mem_assoc "done" (Netlist.outputs nl)) then begin
-        (* combinational netlist: one settle, identical under both
-           strategies *)
+        (* combinational netlist: one settle *)
         let _, st = Neteval.eval_combinational_stats nl ~inputs in
         describe "combinational" st
       end
@@ -347,44 +350,35 @@ let print_sim_stats (design : Design.t) args =
           Netcomp.run_until_done_stats nl ~inputs ~done_name:"done"
             ~max_cycles:2_000_000
         in
-        let run strategy =
-          Neteval.run_until_done_stats ~strategy nl ~inputs ~done_name:"done"
+        let runr =
+          Neteval.run_until_done_stats nl ~inputs ~done_name:"done"
             ~max_cycles:2_000_000
         in
-        match (runc, run Neteval.Event_driven, run Neteval.Full_sweep) with
-        | ( Ok (c_out, c_cycles, cs),
-            Ok (ev_out, ev_cycles, ev),
-            Ok (fs_out, fs_cycles, fs) ) ->
+        match (runc, runr) with
+        | Ok (c_out, c_cycles, cs), Ok (r_out, r_cycles, rs) ->
           describe "compiled:" cs;
-          describe "event-driven:" ev;
-          describe "full-sweep:" fs;
-          let outs_eq a b =
-            List.for_all2
-              (fun (n1, v1) (n2, v2) -> n1 = n2 && Bitvec.equal v1 v2)
-              a b
-          in
+          describe "reference:" rs;
           let agree =
-            ev_cycles = fs_cycles && c_cycles = ev_cycles
-            && outs_eq ev_out fs_out && outs_eq c_out ev_out
+            c_cycles = r_cycles
+            && List.for_all2
+                 (fun (n1, v1) (n2, v2) -> n1 = n2 && Bitvec.equal v1 v2)
+                 c_out r_out
           in
           Printf.printf
-            "  node-eval reduction: %.1fx; compiled speedup: %.1fx; \
-             bit-exact across engines: %s\n"
-            (float_of_int fs.Neteval.nodes_evaluated
-            /. float_of_int (max 1 ev.Neteval.nodes_evaluated))
-            (ev.Neteval.wall_time /. Float.max 1e-9 cs.Neteval.wall_time)
+            "  compiled speedup: %.1fx; bit-exact across engines: %s\n"
+            (rs.Neteval.wall_time /. Float.max 1e-9 cs.Neteval.wall_time)
             (if agree then "yes" else "NO — evaluator bug");
           if not agree then exit 2
-        | Error `Timeout, _, _ | _, Error `Timeout, _ | _, _, Error `Timeout
-          ->
+        | Error `Timeout, _ | _, Error `Timeout ->
           print_endline "  (timed out)"
       end
     end
 
-(* Drive the design's netlist view through the event-driven evaluator with
-   an observation probe installed: the VCD behind --vcd-netlist, the
-   hot-node histogram behind --profile and the netlist.* counters of the
-   metrics report all come from this one instrumented run. *)
+(* Drive the design's netlist view through the compiled engine with an
+   observation probe installed: the VCD behind --vcd-netlist, the
+   value-change histogram behind --profile and the netlist.* counters of
+   the metrics report all come from this one instrumented run's
+   committed-change stream. *)
 let observe_netlist (design : Design.t) args ~vcd_path ~profile ~metrics =
   match design.Design.netlist () with
   | None ->
@@ -406,19 +400,25 @@ let observe_netlist (design : Design.t) args ~vcd_path ~profile ~metrics =
         ins args
     in
     let writer = Option.map (fun _ -> Vcd.create ()) vcd_path in
-    let t = Neteval.create nl in
-    Option.iter
-      (fun w -> Neteval.set_probe t (Trace.neteval_probe w nl))
-      writer;
+    let changes = Array.make (Netlist.length nl) 0 in
+    let to_vcd = Option.map (fun w -> Trace.neteval_probe w nl) writer in
+    let t = Netcomp.create nl in
+    Netcomp.set_probe t
+      { Neteval.on_value =
+          (fun ~cycle s v ->
+            changes.(s) <- changes.(s) + 1;
+            match to_vcd with
+            | Some p -> p.Neteval.on_value ~cycle s v
+            | None -> ()) };
     (if List.mem_assoc "done" (Netlist.outputs nl) then begin
        match
-         Neteval.drive t ~inputs ~done_name:"done" ~max_cycles:2_000_000
+         Netcomp.drive t ~inputs ~done_name:"done" ~max_cycles:2_000_000
        with
        | Ok _ -> ()
        | Error `Timeout -> print_endline "netlist run: timed out"
      end
-     else Neteval.settle t ~inputs);
-    let st = Neteval.stats t in
+     else Netcomp.settle t ~inputs);
+    let st = Netcomp.stats t in
     Metrics.set_int metrics "netlist.nodes" (Netlist.length nl);
     Metrics.set_int metrics "netlist.cycles" st.Neteval.cycles;
     Metrics.set_int metrics "netlist.settles" st.Neteval.settles;
@@ -429,9 +429,9 @@ let observe_netlist (design : Design.t) args ~vcd_path ~profile ~metrics =
       let ranked =
         List.sort
           (fun (_, a) (_, b) -> compare (b : int) a)
-          (Array.to_list (Array.mapi (fun s n -> (s, n)) (Neteval.eval_counts t)))
+          (Array.to_list (Array.mapi (fun s n -> (s, n)) changes))
       in
-      print_endline "profile: hottest netlist nodes (evaluations)";
+      print_endline "profile: most active netlist nodes (value changes)";
       List.iteri
         (fun i (s, n) ->
           if i < 10 && n > 0 then Printf.printf "  n%-6d %d\n" s n)
@@ -590,32 +590,25 @@ let compile_cmd =
         | _ -> ()
       in
       Metrics.set_string m "run.sim" (Design.engine_name sim);
-      (match
-         Design.run_traced ~ctx:tctx ?vcd:writer ~sim design
-           (Design.int_args args)
-       with
-      | exception Rtlsim.Timeout { cycles; state } ->
+      (match Driver.run ~ctx:tctx ?vcd:writer ~sim design args with
+      | Error timeout ->
         (* a partial outcome, not a bare failure: report how far the run
            got through the same channels a finished run uses *)
         Metrics.set_string m "run.outcome" "timeout";
-        Metrics.set_int m "run.cycles" cycles;
-        Metrics.set_int m "run.state" state;
+        (match timeout with
+        | Driver.Cycles { cycles; state } ->
+          Metrics.set_int m "run.cycles" cycles;
+          Metrics.set_int m "run.state" state
+        | Driver.Tokens { tokens_fired; time } ->
+          Metrics.set_int m "run.tokens_fired" tokens_fired;
+          Metrics.set_fixed m "run.time_units" ~decimals:1 time
+        | Driver.Limit _ -> ());
         finish_vcd ();
         write_metrics ();
         write_trace ~failed:true ();
-        Printf.eprintf "timeout after %d cycles (in state %d)\n" cycles state;
+        prerr_endline (Driver.render_timeout timeout);
         exit 3
-      | exception Asim.Timeout { tokens_fired; time } ->
-        Metrics.set_string m "run.outcome" "timeout";
-        Metrics.set_int m "run.tokens_fired" tokens_fired;
-        Metrics.set_fixed m "run.time_units" ~decimals:1 time;
-        finish_vcd ();
-        write_metrics ();
-        write_trace ~failed:true ();
-        Printf.eprintf "timeout after %d tokens (at time %.1f)\n" tokens_fired
-          time;
-        exit 3
-      | r ->
+      | Ok r ->
         Metrics.set_string m "run.outcome" "ok";
         (match r.Design.result with
         | Some v -> Metrics.set_int m "run.result" (Bitvec.to_int v)
@@ -658,17 +651,17 @@ let compile_cmd =
           exit 2
         end;
         if verify_sim then begin
-          (* differential check: compiled engine vs the event-driven
-             oracle on the same vectors, comparing the full observable
-             surface — result, globals, memories, cycle count and the
-             VCD change stream *)
+          (* differential check: compiled engine vs the reference oracle
+             on the same vectors, comparing the full observable surface —
+             result, globals, memories, cycle count and the VCD change
+             stream *)
           let run_engine sim =
             let w = Vcd.create () in
             let r = design.Design.run ~vcd:w ~sim (Design.int_args args) in
             (r, Vcd.contents w)
           in
           let rc, vcd_c = run_engine Design.Compiled in
-          let re, vcd_e = run_engine Design.Event_driven in
+          let re, vcd_e = run_engine Design.Reference in
           let bv_opt_eq a b =
             match (a, b) with
             | Some x, Some y -> Bitvec.equal x y
@@ -699,12 +692,12 @@ let compile_cmd =
           Metrics.set_bool m "run.sim_verified" (mismatches = []);
           if mismatches = [] then
             print_endline
-              "verify-sim: compiled == event-driven (result, globals, \
+              "verify-sim: compiled == reference (result, globals, \
                memories, cycles, vcd)"
           else begin
             write_metrics ();
             Printf.eprintf
-              "verify-sim: DIVERGENCE between compiled and event-driven \
+              "verify-sim: DIVERGENCE between compiled and reference \
                engines (%s)\n"
               (String.concat ", " mismatches);
             exit 2
@@ -854,21 +847,13 @@ let compare_cmd =
           | Ok design ->
             incr compiled;
             Metrics.set_string m (key "status") "ok";
-            let outcomes =
-              List.map
-                (fun args ->
-                  match design.Design.run (Design.int_args args) with
-                  | r -> `Ok r
-                  | exception Rtlsim.Timeout _ -> `Timeout
-                  | exception Asim.Timeout _ -> `Timeout)
-                vectors
-            in
+            let outcomes = List.map (Driver.run design) vectors in
             let results =
               List.map
                 (function
-                  | `Ok r ->
+                  | Ok r ->
                     Option.map Bitvec.to_int r.Design.result
-                  | `Timeout -> None)
+                  | Error _ -> None)
                 outcomes
             in
             let agrees =
@@ -892,24 +877,24 @@ let compare_cmd =
               join
                 (List.filter_map
                    (function
-                     | `Ok r ->
+                     | Ok r ->
                        Option.map string_of_int r.Design.cycles
-                     | `Timeout -> Some "t/o")
+                     | Error _ -> Some "t/o")
                    outcomes)
             in
             let wall_cell =
               join
                 (List.filter_map
                    (function
-                     | `Ok r ->
+                     | Ok r ->
                        Option.map
                          (fun t -> Printf.sprintf "%.0f" t)
                          (Design.latency_estimate design r)
-                     | `Timeout -> None)
+                     | Error _ -> None)
                    outcomes)
             in
             (match outcomes with
-            | `Ok r :: _ ->
+            | Ok r :: _ ->
               (match r.Design.cycles with
               | Some c -> Metrics.set_int m (key "cycles") c
               | None -> ());
@@ -1306,7 +1291,7 @@ let fuzz_cmd =
          & info [ "verify-sim" ]
              ~doc:
                "Also cross-check the compiled simulation engine against \
-                the event-driven oracle on every agreeing design")
+                the reference oracle on every agreeing design")
   in
   let resolve_dialect name =
     match Chls.backend_of_name name with

@@ -12,14 +12,12 @@ let default_capabilities = { c_frontend = true; constraint_reports = false }
 type knobs = {
   resources : Schedule.resources;
   unroll_factor : int;
-  ii_limit : int;
   pass_options : Passes.options;
 }
 
 let default_knobs =
   { resources = Schedule.default_allocation;
     unroll_factor = 1;
-    ii_limit = Pipeline.ii_search_limit;
     pass_options = Passes.default_options }
 
 let specialize knobs pl =

@@ -31,9 +31,8 @@ val default_capabilities : capabilities
     The per-compile synthesis knobs every backend receives: the
     backend-facing half of the driver's configuration value.  [lib/core]
     builds one from a [Config.t]; backends read from it instead of
-    hardcoding {!Schedule.default_allocation} or the process-global pass
-    options, so two concurrent compiles with different settings cannot
-    interfere. *)
+    hardcoding {!Schedule.default_allocation}, so two concurrent compiles
+    with different settings cannot interfere. *)
 
 type knobs = {
   resources : Schedule.resources;
@@ -42,15 +41,13 @@ type knobs = {
   unroll_factor : int;
       (** partial-unroll factor applied as a source pass before the
           declared pipeline; 1 disables *)
-  ii_limit : int;
-      (** largest initiation interval modulo scheduling may try *)
   pass_options : Passes.options;
       (** verification vectors and dump hooks for this compile *)
 }
 
 val default_knobs : knobs
-(** [default_allocation], unroll 1, {!Pipeline.ii_search_limit},
-    {!Passes.default_options} — exactly the pre-config behaviour. *)
+(** [default_allocation], unroll 1, {!Passes.default_options} — exactly
+    the pre-config behaviour. *)
 
 val specialize : knobs -> Passes.pipeline -> Passes.pipeline
 (** Apply the source-level knobs to a declared pipeline: prepends

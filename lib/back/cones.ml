@@ -431,18 +431,13 @@ let compile ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
     let outputs, st =
       match sim with
       | Design.Compiled -> Netcomp.eval_combinational_stats ?probe nl ~inputs
-      | Design.Event_driven ->
-        Neteval.eval_combinational_stats ?probe nl ~inputs
-      | Design.Full_sweep ->
-        Neteval.eval_combinational_stats ~strategy:Neteval.Full_sweep ?probe
-          nl ~inputs
+      | Design.Reference -> Neteval.eval_combinational_stats ?probe nl ~inputs
     in
     let metrics = Metrics.create () in
     Metrics.set_string metrics "sim.engine"
       (match sim with
       | Design.Compiled when Netcomp.compilable nl -> "compiled"
-      | Design.Compiled | Design.Event_driven -> "event"
-      | Design.Full_sweep -> "sweep");
+      | Design.Compiled | Design.Reference -> "reference");
     Metrics.set_int metrics "sim.nodes_evaluated" st.Neteval.nodes_evaluated;
     Metrics.set_int metrics "sim.events" st.Neteval.events;
     { Design.result = List.assoc_opt "result" outputs;

@@ -8,22 +8,21 @@
    timing) plus optional structural views (area report, Verilog). *)
 
 (* Which simulation engine executes the behavioural run.  Compiled is
-   the levelized-closure fast path (Netcomp / Fsmdcomp); the two
-   interpreters survive as differential oracles — Event_driven is the
-   change-propagating Neteval / instruction-walking Rtlsim, Full_sweep
-   re-evaluates every node each settle.  Backends without a compiled
-   engine (or without multiple engines at all) ignore the selection. *)
-type engine = Compiled | Event_driven | Full_sweep
+   the levelized-closure fast path (Netcomp / Fsmdcomp); Reference is the
+   interpreter kept as its differential oracle (the full-sweep Neteval /
+   instruction-walking Rtlsim).  Backends without a compiled engine (or
+   without multiple engines at all) ignore the selection. *)
+type engine = Compiled | Reference
 
 let engine_name = function
   | Compiled -> "compiled"
-  | Event_driven -> "event"
-  | Full_sweep -> "sweep"
+  | Reference -> "reference"
 
+(* "event" and "sweep" name the interpreter strategies the reference
+   replaced; scripts, serve clients and config JSON may still send them *)
 let engine_of_name = function
   | "compiled" -> Some Compiled
-  | "event" -> Some Event_driven
-  | "sweep" -> Some Full_sweep
+  | "reference" | "event" | "sweep" -> Some Reference
   | _ -> None
 
 type run_result = {

@@ -7,17 +7,18 @@
 
 type engine =
   | Compiled  (** levelized-closure fast path ({!Netcomp}/{!Fsmdcomp}) *)
-  | Event_driven  (** interpreting oracle ({!Neteval}/{!Rtlsim}) *)
-  | Full_sweep  (** every-node re-evaluation oracle *)
-      (** Which simulation engine executes the behavioural run.  The two
-          interpreters survive as differential oracles for the compiled
-          engine ([chlsc compile --verify-sim]); backends with a single
-          simulator ignore the selection. *)
+  | Reference  (** interpreting oracle ({!Neteval}/{!Rtlsim}) *)
+      (** Which simulation engine executes the behavioural run.  The
+          interpreter survives as the differential oracle for the
+          compiled engine ([chlsc compile --verify-sim]); backends with a
+          single simulator ignore the selection. *)
 
 val engine_name : engine -> string
-(** ["compiled"], ["event"], ["sweep"] — the [--sim] flag values. *)
+(** ["compiled"] or ["reference"] — the [--sim] flag values. *)
 
 val engine_of_name : string -> engine option
+(** Inverse of {!engine_name}; also accepts ["event"] and ["sweep"], the
+    names of the two interpreter strategies the reference replaced. *)
 
 type run_result = {
   result : Bitvec.t option;

@@ -5,22 +5,20 @@
 
 (* Engine-dispatched FSMD simulation wrapped into a Design.run_result.
    Compiled runs Fsmdcomp's closure engine (which itself falls back to
-   Rtlsim on >62-bit designs); Event_driven and Full_sweep both run the
-   Rtlsim interpreter — an FSMD walk has no sweep/event distinction, the
-   interpreter IS the oracle. *)
+   Rtlsim on >62-bit designs); Reference runs the Rtlsim interpreter. *)
 let simulate ~engine ?vcd ?(sim = Design.Compiled) fsmd ~args :
     Design.run_result =
   let trace = Option.map (fun v -> Trace.rtlsim_trace v fsmd) vcd in
   let outcome =
     match sim with
     | Design.Compiled -> Fsmdcomp.execute ?trace (Lazy.force engine) ~args
-    | Design.Event_driven | Design.Full_sweep -> Rtlsim.run ?trace fsmd ~args
+    | Design.Reference -> Rtlsim.run ?trace fsmd ~args
   in
   let metrics = Metrics.create () in
   Metrics.set_string metrics "sim.engine"
     (match sim with
     | Design.Compiled when Fsmdcomp.compiled (Lazy.force engine) -> "compiled"
-    | _ -> "event");
+    | Design.Compiled | Design.Reference -> "reference");
   Metrics.set_int metrics "sim.cycles" outcome.Rtlsim.cycles;
   Metrics.set metrics "sim.states_visited"
     (Metrics.List

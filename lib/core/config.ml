@@ -1,16 +1,15 @@
 (* Synthesis configuration as a first-class value.
 
    Every knob the stack exposes — resource allocation, chaining budget,
-   unroll factor, modulo-scheduling II limit, pass options, simulation
-   engine — bundled into one record that travels with each compile
-   instead of living in globals or per-backend defaults.  The canonical
+   unroll factor, pass options, simulation engine — bundled into one
+   record that travels with each compile instead of living in globals or
+   per-backend defaults.  The canonical
    rendering and its digest key caches: two compiles of one source under
    different configs are different designs, on disk included. *)
 
 type t = {
   resources : Schedule.resources;
   unroll_factor : int;
-  ii_limit : int;
   verify : int list list;
   dump_after : string list;
   dump_sink : string -> unit;
@@ -20,7 +19,6 @@ type t = {
 let default =
   { resources = Schedule.default_allocation;
     unroll_factor = 1;
-    ii_limit = Pipeline.ii_search_limit;
     verify = [];
     dump_after = [];
     dump_sink = print_string;
@@ -43,7 +41,7 @@ let render_float f =
 let render t =
   let r = t.resources in
   String.concat ";"
-    [ "chls.config/1";
+    [ "chls.config/2";
       Printf.sprintf "adders=%s" (render_bound r.Schedule.adders);
       Printf.sprintf "multipliers=%s" (render_bound r.Schedule.multipliers);
       Printf.sprintf "dividers=%s" (render_bound r.Schedule.dividers);
@@ -53,7 +51,6 @@ let render t =
       Printf.sprintf "chain_budget=%s" (render_float r.Schedule.chain_budget);
       Printf.sprintf "mem_forwarding=%b" r.Schedule.mem_forwarding;
       Printf.sprintf "unroll=%d" t.unroll_factor;
-      Printf.sprintf "ii_limit=%d" t.ii_limit;
       Printf.sprintf "verify=%s"
         (String.concat "|"
            (List.map
@@ -71,7 +68,6 @@ let equal a b = render a = render b
 let knobs t =
   { Backend.resources = t.resources;
     unroll_factor = t.unroll_factor;
-    ii_limit = t.ii_limit;
     pass_options =
       { Passes.verify = t.verify;
         dump_after = t.dump_after;
@@ -95,7 +91,6 @@ let to_json t =
       ("chain_budget", Metrics.Float r.Schedule.chain_budget);
       ("mem_forwarding", Metrics.Bool r.Schedule.mem_forwarding);
       ("unroll", Metrics.Int t.unroll_factor);
-      ("ii_limit", Metrics.Int t.ii_limit);
       ("verify",
        Metrics.List
          (List.map
@@ -112,7 +107,7 @@ let of_json (j : Metrics.json) : (t, string) result =
     let known =
       [ "adders"; "multipliers"; "dividers"; "shifters"; "mem_read_ports";
         "mem_write_ports"; "chain_budget"; "mem_forwarding"; "unroll";
-        "ii_limit"; "verify"; "sim" ]
+        "verify"; "sim" ]
     in
     let* () =
       match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
@@ -160,7 +155,6 @@ let of_json (j : Metrics.json) : (t, string) result =
     let* chain_budget = num "chain_budget" dr.Schedule.chain_budget in
     let* mem_forwarding = bool "mem_forwarding" dr.Schedule.mem_forwarding in
     let* unroll_factor = int "unroll" d.unroll_factor ~min:1 in
-    let* ii_limit = int "ii_limit" d.ii_limit ~min:1 in
     let* verify =
       match field "verify" with
       | None -> Ok d.verify
@@ -198,7 +192,6 @@ let of_json (j : Metrics.json) : (t, string) result =
           { Schedule.adders; multipliers; dividers; shifters;
             mem_read_ports; mem_write_ports; chain_budget; mem_forwarding };
         unroll_factor;
-        ii_limit;
         verify;
         dump_after = d.dump_after;
         dump_sink = d.dump_sink;

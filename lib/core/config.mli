@@ -15,8 +15,6 @@ type t = {
       (** functional-unit / memory-port bounds and the chaining (cycle
           time) budget for the scheduling backends *)
   unroll_factor : int;  (** partial loop unrolling; 1 disables *)
-  ii_limit : int;
-      (** largest initiation interval modulo scheduling may try *)
   verify : int list list;
       (** argument vectors for per-pass differential verification *)
   dump_after : string list;  (** pass names whose output IR to dump *)
@@ -27,8 +25,7 @@ type t = {
 }
 
 val default : t
-(** {!Schedule.default_allocation}, unroll 1,
-    {!Pipeline.ii_search_limit}, no verification, no dumps,
+(** {!Schedule.default_allocation}, unroll 1, no verification, no dumps,
     {!Design.Compiled} — exactly the pre-config behaviour, so
     [compile ?config] call sites that omit it are unchanged. *)
 
@@ -36,7 +33,7 @@ val with_resources : Schedule.resources -> t -> t
 
 val render : t -> string
 (** Canonical one-line rendering
-    (["chls.config/1;adders=2;...;sim=compiled"]).  Deterministic:
+    (["chls.config/2;adders=2;...;sim=compiled"]).  Deterministic:
     equal configurations render equally, and the format is pinned by a
     golden test — changing it invalidates persisted caches, which is
     exactly when it should change. *)
@@ -48,8 +45,8 @@ val equal : t -> t -> bool
 (** Equality of {!render} (so [dump_sink] is ignored). *)
 
 val knobs : t -> Backend.knobs
-(** The backend-facing half: resources, unroll factor, II limit and the
-    pass options assembled for {!Registry.compile}. *)
+(** The backend-facing half: resources, unroll factor and the pass
+    options assembled for {!Registry.compile}. *)
 
 val to_json : t -> Metrics.json
 (** For metrics reports and serve requests; [dump_after]/[dump_sink]

@@ -348,4 +348,38 @@ let reference ?(ctx = Span.null) t ~args =
             (Backend_error
                { backend = "reference";
                  message = "internal error: " ^ message;
-                 loc })))
+                 loc })
+        | exception Interp.Timeout ->
+          Error
+            (Backend_error
+               { backend = "reference";
+                 message = "did not terminate within the interpreter's \
+                            step budget";
+                 loc = Ast.no_loc })))
+
+(* Every simulator's budget exception, classified in one place so serve,
+   compile and compare report a run that ran out of budget as a partial
+   outcome rather than an uncaught exception. *)
+type timeout =
+  | Cycles of { cycles : int; state : int }
+  | Tokens of { tokens_fired : int; time : float }
+  | Limit of string
+
+let run ?ctx ?vcd ?sim design args =
+  match Design.run_traced ?ctx ?vcd ?sim design (Design.int_args args) with
+  | r -> Ok r
+  | exception Rtlsim.Timeout { cycles; state } ->
+    Error (Cycles { cycles; state })
+  | exception Asim.Timeout { tokens_fired; time } ->
+    Error (Tokens { tokens_fired; time })
+  | exception Handelc.Timeout -> Error (Limit "handelc")
+  | exception C2v_machine.Timeout -> Error (Limit "c2verilog")
+  | exception Cir_interp.Timeout -> Error (Limit "cir-interp")
+
+let render_timeout = function
+  | Cycles { cycles; state } ->
+    Printf.sprintf "timeout after %d cycles (in state %d)" cycles state
+  | Tokens { tokens_fired; time } ->
+    Printf.sprintf "timeout after %d tokens (at time %.1f)" tokens_fired time
+  | Limit sim ->
+    Printf.sprintf "timeout: the %s simulator reached its limit" sim

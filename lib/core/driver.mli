@@ -95,7 +95,32 @@ val compile_all :
 val reference : ?ctx:Span.ctx -> session -> args:int list -> (int, error) result
 (** The software oracle on the session's (already parsed) program — the
     frontend is amortized here too.  Under a span context the run is an
-    ["oracle"] span. *)
+    ["oracle"] span.  A program that exhausts the interpreter's step
+    budget is a [Backend_error] from ["reference"]. *)
+
+(** {1 Running} *)
+
+(** How a run that ran out of budget ended. *)
+type timeout =
+  | Cycles of { cycles : int; state : int }
+      (** a clocked FSMD simulator ({!Rtlsim} or its compiled engine)
+          reached its cycle limit in FSM state [state] *)
+  | Tokens of { tokens_fired : int; time : float }
+      (** CASH's asynchronous simulator reached its token limit *)
+  | Limit of string
+      (** a simulator whose limit exception carries no payload, named
+          (["handelc"], ["c2verilog"], ["cir-interp"]) *)
+
+val run :
+  ?ctx:Span.ctx -> ?vcd:Vcd.t -> ?sim:Design.engine -> Design.t ->
+  int list -> (Design.run_result, timeout) result
+(** {!Design.run_traced} on 64-bit integer arguments, with every
+    simulator's limit exception classified into a {!timeout}, so no
+    caller sees one escape. *)
+
+val render_timeout : timeout -> string
+(** One-line diagnostic, e.g. ["timeout after 2000000 cycles (in state
+    0)"]. *)
 
 (** {1 The process-wide artifact cache}
 

@@ -164,10 +164,11 @@ let evaluate session backend config ~args ~(expected : (int, string) result)
     Rejected (Driver.render_error e)
   | Error e -> Failed (Driver.render_error e)
   | Ok design -> (
-    match design.Design.run ~sim:config.Config.sim (Design.int_args args) with
+    match Driver.run ~sim:config.Config.sim design args with
     | exception exn ->
       Failed (Printf.sprintf "simulation raised %s" (Printexc.to_string exn))
-    | r ->
+    | Error t -> Failed ("simulation " ^ Driver.render_timeout t)
+    | Ok r ->
       let observed = Option.map Bitvec.to_int r.Design.result in
       let verified =
         match expected with Ok e -> observed = Some e | Error _ -> false

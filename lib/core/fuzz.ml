@@ -5,7 +5,7 @@
    interpreter, every C-compiling backend through the parse-once Driver
    (typed dialect rejections are *expected* matrix cells, not failures),
    the static concurrency checker, optional differential pass
-   verification and compiled-vs-event-driven simulation.  Any
+   verification and compiled-vs-reference simulation.  Any
    disagreement is classified, shrunk to a local minimum with Fuzzgen's
    reducer (the keep predicate re-runs only the diverging layer), and
    returned as a reproducer the caller can pin as a regression test. *)
@@ -83,14 +83,14 @@ let verify_engines design args : outcome =
     | r -> Ok (Option.map Bitvec.to_int r.Design.result)
     | exception exn -> Error (exn_class exn)
   in
-  match (run Design.Compiled, run Design.Event_driven) with
+  match (run Design.Compiled, run Design.Reference) with
   | Ok a, Ok b when a = b -> Agree
   | Ok a, Ok b ->
     let s = function Some v -> string_of_int v | None -> "void" in
     Fail
       { cls = "sim-divergence";
         detail =
-          Printf.sprintf "compiled engine %s, event-driven %s" (s a) (s b) }
+          Printf.sprintf "compiled engine %s, reference %s" (s a) (s b) }
   | Error e, _ | _, Error e ->
     Fail { cls = "sim-error:" ^ e; detail = e }
 
@@ -171,9 +171,8 @@ let run_dialect ?(arg_sets = default_arg_sets) ?backends
   let backends =
     match backends with Some bs -> bs | None -> Registry.compiling ()
   in
-  (* the config carries per-compile pass verification — no global
-     Passes.set_options, so a concurrent sweep on another domain keeps
-     its own options *)
+  (* the config carries per-compile pass verification, so a concurrent
+     sweep on another domain keeps its own options *)
   let config =
     if verify_passes then { Config.default with Config.verify = arg_sets }
     else Config.default

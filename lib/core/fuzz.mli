@@ -46,7 +46,7 @@ val run_dialect :
 (** Fuzz [n] programs for one dialect.  [verify_passes] additionally
     interprets the IR after every pass on the same vectors
     ({!Passes.options.verify}); [verify_sim] compares the compiled and
-    event-driven simulation engines on agreeing designs.  Deterministic
+    reference simulation engines on agreeing designs.  Deterministic
     for a fixed [(dialect, seed, n)]. *)
 
 val default_dialects : unit -> Dialect.t list

@@ -421,14 +421,12 @@ let session_for sessions source entry =
     Hashtbl.add sessions key s;
     s
 
-let run_design ?ctx ?sim (design : Design.t) args =
-  match Design.run_traced ?ctx ?sim design (Design.int_args args) with
-  | r -> `Ok r
-  | exception Rtlsim.Timeout { cycles; state = _ } -> `Timeout (Some cycles)
-  | exception Asim.Timeout _ -> `Timeout None
-  | exception Handelc.Timeout -> `Timeout None
-  | exception C2v_machine.Timeout -> `Timeout None
-  | exception Cir_interp.Timeout -> `Timeout None
+(* the response reports the cycle count a clocked run reached *)
+let run_design ?ctx ?sim design args =
+  match Driver.run ?ctx ?sim design args with
+  | Ok r -> `Ok r
+  | Error (Driver.Cycles { cycles; state = _ }) -> `Timeout (Some cycles)
+  | Error (Driver.Tokens _ | Driver.Limit _) -> `Timeout None
 
 let handle_compile sessions ~ctx ~id ~source ~entry ~backend ~args ~config =
   match Registry.find backend with

@@ -15,7 +15,7 @@
    (masking by [(1 lsl w) - 1]; signed views via shift-extend; division
    by zero follows the hardware-divider convention; shifts at or beyond
    the width produce zero, sign bits for arithmetic right shifts).
-   Designs with wider signals fall back to the event-driven interpreter
+   Designs with wider signals fall back to the Neteval full sweep
    transparently, so callers never see a capability error.
 
    Observation: probes reproduce Neteval's committed-change stream — an
@@ -91,9 +91,8 @@ type comp = {
   prev : Bitvec.t array; (* shadow values for the observed-change walk *)
 }
 
-(* the fallback interpreter sits behind a ref so [reset] can rebuild it
-   (Neteval has no in-place reset: its event heap, dirty flags and primed
-   bit make fresh construction the reliable way back to cycle 0) *)
+(* the fallback interpreter sits behind a mutable field so [reset] can
+   rebuild it: a fresh Neteval is the way back to cycle 0 *)
 type interp = { inl : Netlist.t; mutable ie : Neteval.t }
 
 type t = Compiled of comp | Interp of interp
@@ -295,8 +294,8 @@ let num_levels = function Compiled c -> Array.length c.levels | Interp _ -> 0
 (* Back to power-on state, keeping the compiled closures: registers and
    memories reload their initial images, the cycle counter and the
    probe's shadow array rewind.  This is what makes the engine reusable —
-   compile once, run many.  (The interpreter fallback is rebuilt instead:
-   Neteval's event heap / dirty flags / primed bit have no cheap rewind.) *)
+   compile once, run many.  (The interpreter fallback is rebuilt
+   instead.) *)
 let reset = function
   | Compiled c ->
     Array.iter (fun (s, b) -> c.values.(s) <- b) c.reg_init;

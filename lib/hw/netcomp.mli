@@ -14,15 +14,15 @@
 
     The compiled engine requires every signal and memory word to fit an
     unboxed OCaml int (width <= 62).  Wider designs transparently fall
-    back to the event-driven interpreter, which also remains available as
-    the differential oracle for the compiled engine (see
+    back to the {!Neteval} full sweep, which also remains available as
+    the reference the compiled engine is checked against (see
     [bench/simcomp_bench.ml] and [chlsc compile --verify-sim]). *)
 
 val compilable : Netlist.t -> bool
 (** Can this netlist run on the compiled int engine?  Requires all
     signal and memory-word widths in [1;62], width-matched binop
     operands and write ports.  When [false], the functions below
-    delegate to {!Neteval} (event-driven). *)
+    delegate to {!Neteval}. *)
 
 type t
 

@@ -2,28 +2,22 @@
     sequential stepper.  Registers and memories update between cycles with
     read-before-write semantics.
 
-    The evaluator is event-driven by default: a dirty worklist seeded by
-    changed primary inputs and by register/memory updates means a node is
-    re-evaluated only when one of its inputs actually changed.  The
-    original full in-order sweep is kept as a selectable strategy and
-    serves as the differential-testing oracle (both strategies are
-    bit-exact against each other; see test/test_random.ml). *)
-
-type strategy =
-  | Full_sweep  (** re-evaluate every node on every settle (the oracle) *)
-  | Event_driven  (** re-evaluate only nodes whose inputs changed *)
+    Every settle re-evaluates every node in id order (a full sweep).  This
+    is the netlist level's reference semantics: the compiled engine
+    ({!Netcomp}) is checked against it bit for bit, and runs on it when a
+    design is too wide to compile. *)
 
 type probe = { on_value : cycle:int -> Netlist.signal -> Bitvec.t -> unit }
 (** Observation hook, fired whenever a signal's settled value actually
-    changes (the event worklist is exactly the VCD change list, so
-    waveform tracing is near-free).  Probes observe only: they receive
-    values after they are committed and cannot perturb the simulation —
-    outcomes with a probe installed are bit-identical to outcomes
-    without (tested by qcheck in test/test_obs.ml). *)
+    changes (the committed-change stream is exactly the VCD change
+    list).  Probes observe only: they receive values after they are
+    committed and cannot perturb the simulation — outcomes with a probe
+    installed are bit-identical to outcomes without (tested by qcheck in
+    test/test_obs.ml). *)
 
 type stats = {
   mutable cycles : int;  (** clock edges ([tick]s) taken *)
-  mutable settles : int;  (** settle passes (full or incremental) *)
+  mutable settles : int;  (** settle passes *)
   mutable nodes_evaluated : int;  (** node evaluations across all settles *)
   mutable events : int;  (** evaluations whose value actually changed *)
   mutable wall_time : float;  (** seconds spent inside [run_until_done] *)
@@ -31,17 +25,12 @@ type stats = {
 
 type t
 
-val create : ?strategy:strategy -> Netlist.t -> t
-(** Default strategy is [Event_driven]. *)
+val create : Netlist.t -> t
 
 val set_probe : t -> probe -> unit
 (** Install an observation hook on this evaluator instance. *)
 
 val netlist : t -> Netlist.t
-
-val eval_counts : t -> int array
-(** Per-signal evaluation counts (a copy): the hot-node histogram behind
-    [chlsc compile --profile]. *)
 
 val apply_unop : Netlist.unop -> Bitvec.t -> Bitvec.t
 val apply_binop : Netlist.binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
@@ -76,21 +65,18 @@ val eval_combinational :
 (** Evaluate a purely combinational netlist once; returns the outputs. *)
 
 val eval_combinational_stats :
-  ?strategy:strategy -> ?probe:probe ->
-  Netlist.t -> inputs:(string * Bitvec.t) list ->
+  ?probe:probe -> Netlist.t -> inputs:(string * Bitvec.t) list ->
   (string * Bitvec.t) list * stats
-(** Like [eval_combinational] but also returns the evaluator counters
-    and accepts a settle strategy (default [Event_driven]). *)
+(** Like [eval_combinational] but also returns the evaluator counters. *)
 
 val drive :
   t -> inputs:(string * Bitvec.t) list -> done_name:string ->
   max_cycles:int -> ((string * Bitvec.t) list * int, [ `Timeout ]) result
 (** Clock an existing evaluator until the 1-bit output [done_name] is
-    set; for callers that need the evaluator afterwards (probes,
-    [eval_counts]).  [run_until_done] is this plus [create]. *)
+    set; for callers that need the evaluator afterwards (probes).
+    [run_until_done] is this plus [create]. *)
 
 val run_until_done :
-  ?strategy:strategy ->
   Netlist.t -> inputs:(string * Bitvec.t) list -> done_name:string ->
   max_cycles:int ->
   ((string * Bitvec.t) list * int, [ `Timeout ]) result
@@ -99,9 +85,8 @@ val run_until_done :
     primary inputs are resolved to signal ids once, before the loop. *)
 
 val run_until_done_stats :
-  ?strategy:strategy -> ?probe:probe ->
-  Netlist.t -> inputs:(string * Bitvec.t) list -> done_name:string ->
-  max_cycles:int ->
+  ?probe:probe -> Netlist.t -> inputs:(string * Bitvec.t) list ->
+  done_name:string -> max_cycles:int ->
   ((string * Bitvec.t) list * int * stats, [ `Timeout ]) result
 (** Like [run_until_done] but also returns the evaluator counters and
     accepts an observation probe. *)

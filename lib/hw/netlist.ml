@@ -46,9 +46,6 @@ type t = {
   mutable mems : mem list; (* reverse order of creation *)
   mutable outputs : (string * signal) list; (* reverse order *)
   mutable name : string;
-  mutable fanout_cache : signal array array option;
-      (* signal id -> combinational users; rebuilt when the node count has
-         changed since it was computed (see [fanouts]) *)
 }
 
 (* Fills unused node slots: one long-lived value rather than a fresh
@@ -61,8 +58,7 @@ let create ?(name = "top") () =
     count = 0;
     mems = [];
     outputs = [];
-    name;
-    fanout_cache = None }
+    name }
 
 let length t = t.count
 let node t s = t.nodes.(s)
@@ -187,33 +183,6 @@ let sequential_deps = function
     next :: (match enable with None -> [] | Some e -> [ e ])
   | Const _ | Input _ | Unop _ | Binop _ | Mux _ | Concat _ | Extract _
   | Zext _ | Sext _ | Mem_read _ -> []
-
-(** Fanout index: for every signal, the combinational nodes that consume it
-    (register next-states and memory write ports are sequential edges and are
-    excluded).  Because builders only reference already-created signals, every
-    user id is strictly greater than the signal id — the evaluator relies on
-    this to process events in topological (= id) order.  The index is computed
-    on first use and cached; it is transparently rebuilt if nodes have been
-    added since (the cache is keyed on the node count). *)
-let fanouts t =
-  match t.fanout_cache with
-  | Some f when Array.length f = t.count -> f
-  | Some _ | None ->
-    let counts = Array.make t.count 0 in
-    for s = 0 to t.count - 1 do
-      List.iter (fun d -> counts.(d) <- counts.(d) + 1) (comb_deps t.nodes.(s))
-    done;
-    let f = Array.init t.count (fun s -> Array.make counts.(s) 0) in
-    let fill = Array.make t.count 0 in
-    for s = 0 to t.count - 1 do
-      List.iter
-        (fun d ->
-          f.(d).(fill.(d)) <- s;
-          fill.(d) <- fill.(d) + 1)
-        (comb_deps t.nodes.(s))
-    done;
-    t.fanout_cache <- Some f;
-    f
 
 let count_if t pred =
   let n = ref 0 in

@@ -104,13 +104,6 @@ val comb_deps : node -> signal list
 
 val sequential_deps : node -> signal list
 
-val fanouts : t -> signal array array
-(** Fanout index: [(fanouts t).(s)] lists the combinational users of [s]
-    (register next-states and write ports excluded).  User ids are always
-    strictly greater than [s], so id order is a valid event-processing
-    order.  Computed once and cached; rebuilt automatically if nodes have
-    been added since. *)
-
 val num_registers : t -> int
 
 val string_of_unop : unop -> string

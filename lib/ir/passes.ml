@@ -85,22 +85,6 @@ type options = {
 
 let default_options = { verify = []; dump_after = []; dump_sink = print_string }
 
-(* Compatibility shim.  Options travel with each compile's configuration
-   ([?options] on {!run} and friends, carried by [Config.t] above this
-   library); this atomic only supplies the default for direct callers
-   that predate the config value.  Nothing in the driver path writes it,
-   so concurrent compiles under the serve Domain pool cannot bleed
-   options into each other. *)
-let options = Atomic.make default_options
-
-let set_options o = Atomic.set options o
-let current_options () = Atomic.get options
-
-let with_options o f =
-  let saved = Atomic.get options in
-  Atomic.set options o;
-  Fun.protect ~finally:(fun () -> Atomic.set options saved) f
-
 (* --- sizes and rendering ---------------------------------------------- *)
 
 let size_of_func (f : Cir.func) =
@@ -285,8 +269,8 @@ let maybe_dump opts ~pass_name render =
 (* [epoch] anchors every record's start_ms to the pipeline run's begin,
    so the whole trace shares one timeline (in CPU-time milliseconds, the
    same clock wall_ms already uses). *)
-let run_program_passes_from ?options:opts epoch pl program ~entry =
-  let opts = match opts with Some o -> o | None -> current_options () in
+let run_program_passes_from ?options:(opts = default_options) epoch pl program
+    ~entry =
   let program, rev_trace =
     List.fold_left
       (fun (program, acc) pass ->
@@ -313,8 +297,7 @@ let run_program_passes_from ?options:opts epoch pl program ~entry =
 let run_program_passes ?options pl program ~entry =
   run_program_passes_from ?options (Sys.time ()) pl program ~entry
 
-let run ?options:opts pl program ~entry =
-  let opts = match opts with Some o -> o | None -> current_options () in
+let run ?options:(opts = default_options) pl program ~entry =
   let epoch = Sys.time () in
   let program, source_trace =
     run_program_passes_from ~options:opts epoch pl program ~entry

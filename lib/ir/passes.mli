@@ -102,10 +102,8 @@ val describe : pipeline -> string
 
     Per-compile knobs.  Every run entry point takes [?options]; callers
     above this library carry them in a [Config.t] and pass them down
-    explicitly.  The process-wide setter below is only a compatibility
-    shim supplying the default for direct callers that predate the
-    config value — nothing on the driver path writes it, so concurrent
-    compiles on separate domains cannot bleed options into each other. *)
+    explicitly, so concurrent compiles on separate domains cannot bleed
+    options into each other. *)
 
 type options = {
   verify : int list list;
@@ -116,19 +114,6 @@ type options = {
 }
 
 val default_options : options
-
-val set_options : options -> unit
-(** Compatibility shim: replace the process-wide default that applies
-    when [?options] is omitted.  New code should pass [?options] (or a
-    driver config) instead. *)
-
-val current_options : unit -> options
-(** The process-wide default (an [Atomic.t] under the hood). *)
-
-val with_options : options -> (unit -> 'a) -> 'a
-(** Run with a temporary process-wide default, restoring the previous
-    one on exit.  Kept for tests of the shim itself; per-compile code
-    should pass [?options]. *)
 
 (** {1 Running} *)
 
@@ -141,7 +126,7 @@ val run :
   Lower.result * trace
 (** Apply the program passes, lower the entry function, then apply the
     CIR passes; the returned {!Lower.result} carries the final function.
-    [options] defaults to {!current_options}[ ()].
+    [options] defaults to {!default_options}.
     @raise Lower.Error as {!Lower.lower_program} does — the payload
     carries the offending AST location for [file:line:col] diagnostics.
     @raise Verification_failed under [options.verify] on divergence. *)

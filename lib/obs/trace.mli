@@ -10,8 +10,8 @@ val neteval_probe : Vcd.t -> Netlist.t -> Neteval.probe
     port names, registers as [rN], everything else as [nN]; output names
     are aliases of their driving signals), end the definitions, and
     return a probe that logs every committed value change at the cycle it
-    settled in.  The evaluator's event worklist is exactly the change
-    list, so tracing adds no re-evaluation. *)
+    settled in.  [Neteval] and [Netcomp] fire it with the same change
+    stream, so either engine writes the same waveform. *)
 
 val rtlsim_trace : Vcd.t -> Fsmd.t -> Rtlsim.trace
 (** Declare vars for the FSM state, every CIR register (parameter and

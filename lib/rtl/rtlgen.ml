@@ -231,7 +231,7 @@ let elaborate (fsmd : Fsmd.t) : elaborated =
 
 (** Run the elaborated netlist to completion and return (result, globals,
     cycles) plus the evaluator's performance counters. *)
-let simulate_stats ?(max_cycles = 2_000_000) ?strategy ?probe
+let simulate_stats ?(max_cycles = 2_000_000) ?probe
     (e : elaborated) ~args ~func =
   let inputs =
     List.map2
@@ -240,12 +240,12 @@ let simulate_stats ?(max_cycles = 2_000_000) ?strategy ?probe
           Bitvec.resize ~signed:true ~width:(Cir.reg_width func r) v ))
       func.Cir.fn_params args
   in
-  Neteval.run_until_done_stats ?strategy ?probe e.netlist ~inputs
+  Neteval.run_until_done_stats ?probe e.netlist ~inputs
     ~done_name:"done" ~max_cycles
 
 (** Run the elaborated netlist to completion and return (result, globals,
     cycles). *)
-let simulate ?max_cycles ?strategy (e : elaborated) ~args ~func =
-  match simulate_stats ?max_cycles ?strategy e ~args ~func with
+let simulate ?max_cycles (e : elaborated) ~args ~func =
+  match simulate_stats ?max_cycles e ~args ~func with
   | Ok (outputs, cycles, _) -> Ok (outputs, cycles)
   | Error `Timeout -> Error `Timeout

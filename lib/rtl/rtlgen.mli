@@ -21,15 +21,14 @@ type elaborated = {
 val elaborate : Fsmd.t -> elaborated
 
 val simulate :
-  ?max_cycles:int -> ?strategy:Neteval.strategy -> elaborated ->
+  ?max_cycles:int -> elaborated ->
   args:Bitvec.t list -> func:Cir.func ->
   ((string * Bitvec.t) list * int, [ `Timeout ]) result
-(** Run the elaborated netlist to completion: (outputs, cycles).  The
-    settling [strategy] defaults to [Neteval.Event_driven]; pass
-    [Neteval.Full_sweep] to run the differential-testing oracle. *)
+(** Run the elaborated netlist to completion on the {!Neteval} reference
+    evaluator: (outputs, cycles). *)
 
 val simulate_stats :
-  ?max_cycles:int -> ?strategy:Neteval.strategy -> ?probe:Neteval.probe ->
+  ?max_cycles:int -> ?probe:Neteval.probe ->
   elaborated ->
   args:Bitvec.t list -> func:Cir.func ->
   ((string * Bitvec.t) list * int * Neteval.stats, [ `Timeout ]) result

@@ -3,17 +3,16 @@
    exactly when it should change), distinct knob points get distinct
    digests, the digest keys the design cache front-to-disk, and two
    domains compiling under different options concurrently never bleed
-   into each other (the satellite for the old Passes.set_options race). *)
+   into each other. *)
 
 let gcd_w = Workloads.gcd
 
 let golden_render =
-  "chls.config/1;adders=2;multipliers=1;dividers=1;shifters=1;\
+  "chls.config/2;adders=2;multipliers=1;dividers=1;shifters=1;\
    mem_read_ports=1;mem_write_ports=1;chain_budget=20;\
-   mem_forwarding=false;unroll=1;ii_limit=4096;verify=;dump_after=;\
-   sim=compiled"
+   mem_forwarding=false;unroll=1;verify=;dump_after=;sim=compiled"
 
-let golden_digest = "3887f3d160870b0be2ca39a3dc900d24"
+let golden_digest = "b5a5bfda5db9d127e4d5f66b8934433a"
 
 let test_render_golden () =
   Alcotest.(check string) "default renders canonically" golden_render
@@ -28,10 +27,9 @@ let test_digests_distinguish_knobs () =
   let d = Config.default in
   let variants =
     [ ("unroll", { d with Config.unroll_factor = 2 });
-      ("ii limit", { d with Config.ii_limit = 8 });
       ("verify", { d with Config.verify = [ [ 1; 2 ] ] });
       ("dump", { d with Config.dump_after = [ "simplify" ] });
-      ("sim", { d with Config.sim = Design.Event_driven });
+      ("sim", { d with Config.sim = Design.Reference });
       ( "adders",
         Config.with_resources
           { Schedule.default_allocation with Schedule.adders = Some 1 }
@@ -76,7 +74,6 @@ let test_knobs_mapping () =
     { Config.default with
       Config.resources;
       unroll_factor = 3;
-      ii_limit = 7;
       verify = [ [ 4 ] ];
       dump_after = [ "simplify" ] }
   in
@@ -84,7 +81,6 @@ let test_knobs_mapping () =
   Alcotest.(check bool) "resources forwarded" true
     (k.Backend.resources = resources);
   Alcotest.(check int) "unroll forwarded" 3 k.Backend.unroll_factor;
-  Alcotest.(check int) "ii limit forwarded" 7 k.Backend.ii_limit;
   Alcotest.(check bool) "verify vectors forwarded" true
     (k.Backend.pass_options.Passes.verify = [ [ 4 ] ]);
   Alcotest.(check bool) "dump passes forwarded" true
@@ -100,9 +96,8 @@ let test_json_round_trip () =
           chain_budget = 7.5;
           mem_forwarding = true };
       unroll_factor = 4;
-      ii_limit = 16;
       verify = [ [ 1; 2 ]; [ -3 ] ];
-      sim = Design.Full_sweep }
+      sim = Design.Reference }
   in
   match Config.of_json (Config.to_json c) with
   | Error msg -> Alcotest.fail msg
@@ -127,6 +122,15 @@ let test_of_json_errors () =
       (c.Config.resources.Schedule.adders = None);
     Alcotest.(check int) "unroll parsed" 2 c.Config.unroll_factor
   | Error msg -> Alcotest.fail msg);
+  (* the interpreter strategies' old names select the reference engine *)
+  List.iter
+    (fun name ->
+      match parse (Printf.sprintf "{\"sim\": %S}" name) with
+      | Ok c ->
+        Alcotest.(check string) (name ^ " is the reference engine")
+          "reference" (Design.engine_name c.Config.sim)
+      | Error msg -> Alcotest.fail msg)
+    [ "reference"; "event"; "sweep" ];
   List.iter
     (fun (what, json) ->
       match parse json with
@@ -136,6 +140,7 @@ let test_of_json_errors () =
       ("zero bound", "{\"adders\": 0}");
       ("bad unroll", "{\"unroll\": \"two\"}");
       ("bad sim", "{\"sim\": \"quantum\"}");
+      ("removed ii_limit knob", "{\"ii_limit\": 8}");
       ("non-object", "[1,2]") ]
 
 (* --- the digest keys the design cache ---------------------------------- *)
@@ -246,9 +251,8 @@ let test_two_configs_two_disk_entries () =
 (* --- no options bleed across domains ----------------------------------- *)
 
 (* Two domains compile the same source concurrently, one with dumps and
-   verification on, one with everything off.  Under the old global
-   Passes.set_options this raced; with per-compile configs the quiet
-   domain's sink must never fire. *)
+   verification on, one with everything off.  Options travel with each
+   compile's config, so the quiet domain's sink must never fire. *)
 let test_no_options_bleed_across_domains () =
   Driver.clear_cache ();
   let bachc = Registry.get "bachc" in

@@ -129,6 +129,31 @@ let test_compile_all_declared_order () =
        (fun (b, _) -> Registry.name b)
        (Driver.compile_all ~backends:subset s))
 
+(* A kernel that never terminates: every layer must end in a typed
+   result, never an escaped budget exception. *)
+let test_nonterminating_kernel () =
+  let s =
+    Driver.create ~entry:"spin"
+      "int spin(int x) { while (x != -1) { x = x + 2; x = x - 2; } \
+       return x; }"
+  in
+  (match Driver.reference s ~args:[ 3 ] with
+  | Error (Driver.Backend_error { backend = "reference"; _ }) -> ()
+  | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e)
+  | Ok v -> Alcotest.failf "spin returned %d" v);
+  List.iter
+    (fun (b, verdict) ->
+      match verdict with
+      | Error _ -> ()
+      | Ok design -> (
+        match Driver.run design [ 3 ] with
+        | Error t ->
+          Alcotest.(check bool)
+            (Registry.name b ^ " renders its timeout") true
+            (String.length (Driver.render_timeout t) > 0)
+        | Ok _ -> Alcotest.fail (Registry.name b ^ ": spin finished")))
+    (Driver.compile_all s)
+
 let suite =
   ( "driver",
     [ Alcotest.test_case "frontend memoized" `Quick test_frontend_memoized;
@@ -141,4 +166,6 @@ let suite =
       Alcotest.test_case "typed rejections" `Quick test_typed_rejections;
       Alcotest.test_case "reference oracle" `Quick test_reference_oracle;
       Alcotest.test_case "compile_all verdict order is declared order"
-        `Quick test_compile_all_declared_order ] )
+        `Quick test_compile_all_declared_order;
+      Alcotest.test_case "non-terminating kernel ends typed" `Slow
+        test_nonterminating_kernel ] )

@@ -282,50 +282,6 @@ let prop_cones_agrees =
           src
       | None -> QCheck.Test.fail_reportf "cones returned nothing on:\n%s" src)
 
-(* The event-driven netlist evaluator must be indistinguishable from the
-   full-sweep oracle: same outputs (all of them, bit for bit) and the same
-   cycle count, on every generated program. *)
-let prop_event_driven_equals_full_sweep =
-  QCheck.Test.make
-    ~name:"event-driven settle = full-sweep settle on elaborated netlists"
-    ~count:200
-    (QCheck.pair arb_program
-       (QCheck.pair (QCheck.int_range (-50) 50) (QCheck.int_range (-50) 50)))
-    (fun (src, (a, b)) ->
-      let program = Typecheck.parse_and_check src in
-      let lowered = Lower.lower_program program ~entry:"f" in
-      let simplified, _ = Simplify.simplify lowered.Lower.func in
-      let fsmd =
-        Fsmd.of_func simplified ~schedule_block:(fun blk ->
-            Schedule.list_schedule simplified Schedule.default_allocation
-              blk.Cir.instrs)
-      in
-      let e = Rtlgen.elaborate fsmd in
-      let run strategy =
-        Rtlgen.simulate ~strategy e ~args:(args_of (a, b)) ~func:simplified
-      in
-      match (run Neteval.Event_driven, run Neteval.Full_sweep) with
-      | Ok (ev_out, ev_cycles), Ok (fs_out, fs_cycles) ->
-        if ev_cycles <> fs_cycles then
-          QCheck.Test.fail_reportf
-            "cycle count diverged: event-driven %d vs full-sweep %d on:\n%s"
-            ev_cycles fs_cycles src
-        else if
-          not
-            (List.length ev_out = List.length fs_out
-            && List.for_all2
-                 (fun (n1, v1) (n2, v2) -> n1 = n2 && Bitvec.equal v1 v2)
-                 ev_out fs_out)
-        then
-          QCheck.Test.fail_reportf
-            "outputs diverged between settle strategies on:\n%s\ninputs %d,%d"
-            src a b
-        else true
-      | Error `Timeout, Error `Timeout -> true
-      | Ok _, Error `Timeout | Error `Timeout, Ok _ ->
-        QCheck.Test.fail_reportf
-          "timeout under only one settle strategy on:\n%s" src)
-
 (* Simplify must be a fixpoint of itself: a second application changes
    nothing.  Anything it still wants to rewrite after one application is a
    missed rewrite the trace would misattribute to later passes. *)
@@ -463,5 +419,4 @@ let suite =
     [ QCheck_alcotest.to_alcotest prop_simplify_idempotent;
       QCheck_alcotest.to_alcotest prop_all_layers_agree;
       QCheck_alcotest.to_alcotest prop_cones_agrees;
-      QCheck_alcotest.to_alcotest prop_event_driven_equals_full_sweep;
       QCheck_alcotest.to_alcotest prop_checker_clean_is_schedule_deterministic ] )

@@ -156,7 +156,7 @@ let test_elaboration_many_stores () =
   let rtl = Rtlsim.run fsmd ~args:[ Bitvec.of_int ~width:64 5 ] in
   let e = Rtlgen.elaborate fsmd in
   (* the compiled netlist engine: a 2k-deep write mux chain re-settles
-     every cycle, which the event-driven interpreter takes seconds over *)
+     every cycle, which the reference interpreter takes seconds over *)
   Alcotest.(check bool) "compilable" true (Netcomp.compilable e.Rtlgen.netlist);
   match
     Netcomp.run_until_done e.Rtlgen.netlist
@@ -247,36 +247,48 @@ let test_netlist_sequential_counter () =
   Alcotest.(check (list int)) "enable gates counting"
     [ 0; 1; 2; 2; 2; 3 ] observed
 
-let test_netlist_event_driven_matches_sweep () =
-  (* the two settle strategies must agree on outputs, cycle count and the
-     number of value-change events; event-driven must evaluate fewer nodes *)
+let test_netlist_compiled_matches_reference () =
+  (* the compiled engine must agree with the reference sweep on outputs,
+     cycle count and the probe-visible change events; the reference
+     evaluates every node on every settle *)
   let fsmd = default_fsmd gcd_func in
   let e = Rtlgen.elaborate fsmd in
+  let nl = e.Rtlgen.netlist in
   let args = [ Bitvec.of_int ~width:64 1071; Bitvec.of_int ~width:64 462 ] in
-  let run strategy =
-    match Rtlgen.simulate_stats ~strategy e ~args ~func:gcd_func with
+  let ignore_values = { Neteval.on_value = (fun ~cycle:_ _ _ -> ()) } in
+  let ref_out, ref_cycles, rs =
+    match Rtlgen.simulate_stats ~probe:ignore_values e ~args ~func:gcd_func with
     | Ok r -> r
-    | Error `Timeout -> Alcotest.fail "timeout"
+    | Error `Timeout -> Alcotest.fail "reference timeout"
   in
-  let ev_out, ev_cycles, ev = run Neteval.Event_driven in
-  let fs_out, fs_cycles, fs = run Neteval.Full_sweep in
-  Alcotest.(check int) "same cycle count" fs_cycles ev_cycles;
+  let inputs =
+    List.map2
+      (fun (name, r) v ->
+        (name, Bitvec.resize ~signed:true ~width:(Cir.reg_width gcd_func r) v))
+      gcd_func.Cir.fn_params args
+  in
+  let c_out, c_cycles, cs =
+    match
+      Netcomp.run_until_done_stats ~probe:ignore_values nl ~inputs
+        ~done_name:"done" ~max_cycles:10_000
+    with
+    | Ok r -> r
+    | Error `Timeout -> Alcotest.fail "compiled timeout"
+  in
+  Alcotest.(check int) "same cycle count" ref_cycles c_cycles;
   Alcotest.(check int) "same result" 21
-    (Bitvec.to_int (List.assoc "result" ev_out));
+    (Bitvec.to_int (List.assoc "result" c_out));
   List.iter2
     (fun (n1, v1) (n2, v2) ->
       Alcotest.(check string) "output order" n1 n2;
       Alcotest.(check bool) ("output " ^ n1 ^ " bit-exact") true
         (Bitvec.equal v1 v2))
-    fs_out ev_out;
-  Alcotest.(check int) "same change events" fs.Neteval.events
-    ev.Neteval.events;
-  Alcotest.(check bool) "fewer node evaluations" true
-    (ev.Neteval.nodes_evaluated < fs.Neteval.nodes_evaluated);
-  (* the full sweep evaluates every node on every settle *)
-  Alcotest.(check int) "sweep evals = nodes x settles"
-    (Netlist.length e.Rtlgen.netlist * fs.Neteval.settles)
-    fs.Neteval.nodes_evaluated
+    ref_out c_out;
+  Alcotest.(check int) "same change events" rs.Neteval.events
+    cs.Neteval.events;
+  Alcotest.(check int) "reference evals = nodes x settles"
+    (Netlist.length nl * rs.Neteval.settles)
+    rs.Neteval.nodes_evaluated
 
 let test_netlist_unknown_output_error () =
   let fsmd = default_fsmd gcd_func in
@@ -296,25 +308,6 @@ let test_netlist_unknown_output_error () =
             !found
           in
           contains "no_such_port" && contains "done"))
-
-let test_netlist_fanout_index () =
-  (* fanout edges point forward and invert comb_deps exactly *)
-  let fsmd = default_fsmd gcd_func in
-  let nl = (Rtlgen.elaborate fsmd).Rtlgen.netlist in
-  let f = Netlist.fanouts nl in
-  let edges_from_deps = ref 0 and edges_from_fanouts = ref 0 in
-  for s = 0 to Netlist.length nl - 1 do
-    List.iter
-      (fun d ->
-        incr edges_from_deps;
-        Alcotest.(check bool) "dep already created" true (d < s);
-        Alcotest.(check bool) "dep's fanout lists user" true
-          (Array.exists (fun u -> u = s) f.(d)))
-      (Netlist.comb_deps (Netlist.node nl s));
-    edges_from_fanouts := !edges_from_fanouts + Array.length f.(s)
-  done;
-  Alcotest.(check int) "edge counts match" !edges_from_deps
-    !edges_from_fanouts
 
 let test_area_model_monotone () =
   (* wider operators must never be cheaper or faster *)
@@ -370,11 +363,9 @@ let suite =
         test_netlist_eval_combinational;
       Alcotest.test_case "netlist sequential counter" `Quick
         test_netlist_sequential_counter;
-      Alcotest.test_case "netlist event-driven vs full sweep" `Quick
-        test_netlist_event_driven_matches_sweep;
+      Alcotest.test_case "netlist compiled = reference" `Quick
+        test_netlist_compiled_matches_reference;
       Alcotest.test_case "netlist unknown output error" `Quick
         test_netlist_unknown_output_error;
-      Alcotest.test_case "netlist fanout index" `Quick
-        test_netlist_fanout_index;
       Alcotest.test_case "area model monotone" `Quick test_area_model_monotone;
       Alcotest.test_case "area report" `Quick test_area_report_of_design ] )

@@ -5,8 +5,9 @@
    checked against Rtlsim on the full outcome — return value, cycle
    count, globals, memories, per-state visit counts — and on the VCD
    change stream a shared trace hook produces.  Netcomp (levelized
-   closure arrays) is checked three ways against Neteval: event-driven,
-   full-sweep, and the probe-visible change stream.  Random programs
+   closure arrays) is checked against the Neteval reference on outputs,
+   cycle counts and the probe-visible change stream, on the closure
+   engine and on its >62-bit fallback.  Random programs
    (the test_random generator) drive the property versions; gcd,
    isqrt-newton and crc pin the workload corpus.  Divergence anywhere
    here is an engine bug, never noise — every quantity compared is
@@ -58,9 +59,9 @@ let netcomp_probed nl ~inputs =
   | Ok (out, cycles) -> Some (out, cycles, Vcd.contents v)
   | Error `Timeout -> None
 
-let neteval_probed ~strategy nl ~inputs =
+let neteval_probed nl ~inputs =
   let v = Vcd.create () in
-  let e = Neteval.create ~strategy nl in
+  let e = Neteval.create nl in
   Neteval.set_probe e (Trace.neteval_probe v nl);
   match Neteval.drive e ~inputs ~done_name:"done" ~max_cycles:200_000 with
   | Ok (out, cycles) -> Some (out, cycles, Vcd.contents v)
@@ -98,31 +99,20 @@ let check_kernel (w : Workloads.t) () =
         (fsmd_vcd (fun ~trace f -> Rtlsim.run ~trace f ~args) fsmd)
         (fsmd_vcd (fun ~trace f -> Fsmdcomp.run ~trace f ~args) fsmd);
       let inputs = inputs_of func args in
-      match
-        ( netcomp_probed nl ~inputs,
-          neteval_probed ~strategy:Neteval.Event_driven nl ~inputs,
-          neteval_probed ~strategy:Neteval.Full_sweep nl ~inputs )
-      with
-      | Some (c_out, c_cyc, c_vcd), Some (e_out, e_cyc, e_vcd),
-        Some (s_out, s_cyc, s_vcd) ->
+      match (netcomp_probed nl ~inputs, neteval_probed nl ~inputs) with
+      | Some (c_out, c_cyc, c_vcd), Some (r_out, r_cyc, r_vcd) ->
         Alcotest.(check bool)
           (Printf.sprintf "%s: netlist outputs agree across engines"
              w.Workloads.name)
           true
-          (named_eq Bitvec.equal c_out e_out
-          && named_eq Bitvec.equal c_out s_out);
-        Alcotest.(check bool)
+          (named_eq Bitvec.equal c_out r_out);
+        Alcotest.(check int)
           (Printf.sprintf "%s: netlist cycle counts agree" w.Workloads.name)
-          true
-          (c_cyc = e_cyc && c_cyc = s_cyc);
+          r_cyc c_cyc;
         Alcotest.(check string)
-          (Printf.sprintf "%s: compiled netlist VCD = event-driven VCD"
+          (Printf.sprintf "%s: compiled netlist VCD = reference VCD"
              w.Workloads.name)
-          e_vcd c_vcd;
-        Alcotest.(check string)
-          (Printf.sprintf "%s: full-sweep VCD = event-driven VCD"
-             w.Workloads.name)
-          e_vcd s_vcd
+          r_vcd c_vcd
       | _ -> Alcotest.fail (w.Workloads.name ^ ": a netlist engine timed out"))
     w.Workloads.arg_sets
 
@@ -175,6 +165,42 @@ let test_netlist_engine_reset () =
         (named_eq Bitvec.equal out1 out2))
     w.Workloads.arg_sets
 
+(* --- the >62-bit fallback: Netcomp runs the reference sweep --- *)
+
+let wide_src =
+  "long wide(long a, int n) { long s = a; int i = 0; \
+   while (i < n) { s = s * 1000003 + a; i = i + 1; } return s; }"
+
+let test_netlist_wide_fallback () =
+  let func, _, nl = build wide_src ~entry:"wide" in
+  Alcotest.(check bool) "64-bit netlist is not compilable" false
+    (Netcomp.compilable nl);
+  let inputs = inputs_of func (args_of [ 0x1234_5678_9abc; 9 ]) in
+  (match (netcomp_probed nl ~inputs, neteval_probed nl ~inputs) with
+  | Some (c_out, c_cyc, c_vcd), Some (r_out, r_cyc, r_vcd) ->
+    Alcotest.(check bool) "outputs = reference" true
+      (named_eq Bitvec.equal c_out r_out);
+    Alcotest.(check int) "cycles = reference" r_cyc c_cyc;
+    Alcotest.(check string) "VCD = reference" r_vcd c_vcd
+  | _ -> Alcotest.fail "wide kernel timed out");
+  let eng = Netcomp.create nl in
+  Alcotest.(check bool) "engine runs on the fallback" false
+    (Netcomp.compiled eng);
+  let run () =
+    Netcomp.reset eng;
+    let v = Vcd.create () in
+    Netcomp.set_probe eng (Trace.neteval_probe v nl);
+    match Netcomp.drive eng ~inputs ~done_name:"done" ~max_cycles:200_000 with
+    | Ok (out, cycles) -> (out, cycles, Vcd.contents v)
+    | Error `Timeout -> Alcotest.fail "wide kernel timed out"
+  in
+  let out1, cyc1, vcd1 = run () in
+  let out2, cyc2, vcd2 = run () in
+  Alcotest.(check int) "reset rewinds the cycle counter" cyc1 cyc2;
+  Alcotest.(check bool) "reset reproduces the outputs" true
+    (named_eq Bitvec.equal out1 out2);
+  Alcotest.(check string) "reset reproduces the VCD" vcd1 vcd2
+
 (* --- random programs: property versions of the same checks --- *)
 
 let gen_inputs =
@@ -206,34 +232,25 @@ let prop_fsmd_compiled_equals_interpreter =
 let prop_netlist_engines_agree =
   QCheck.Test.make
     ~name:
-      "compiled, event-driven and full-sweep netlist engines agree on random \
-       programs (outputs + cycles + VCD)"
+      "compiled and reference netlist engines agree on random programs \
+       (outputs + cycles + VCD)"
     ~count:100
     (QCheck.pair Test_random.arb_program gen_inputs)
     (fun (src, (a, b)) ->
       let func, _, nl = build src ~entry:"f" in
       let inputs = inputs_of func (args_of [ a; b ]) in
-      match
-        ( netcomp_probed nl ~inputs,
-          neteval_probed ~strategy:Neteval.Event_driven nl ~inputs,
-          neteval_probed ~strategy:Neteval.Full_sweep nl ~inputs )
-      with
-      | None, None, None -> true
-      | Some (c_out, c_cyc, c_vcd), Some (e_out, e_cyc, e_vcd),
-        Some (s_out, s_cyc, s_vcd) ->
-        if c_cyc <> e_cyc || c_cyc <> s_cyc then
+      match (netcomp_probed nl ~inputs, neteval_probed nl ~inputs) with
+      | None, None -> true
+      | Some (c_out, c_cyc, c_vcd), Some (r_out, r_cyc, r_vcd) ->
+        if c_cyc <> r_cyc then
           QCheck.Test.fail_reportf
-            "cycle counts diverged (compiled %d, event %d, sweep %d) on:\n%s"
-            c_cyc e_cyc s_cyc src
-        else if
-          not
-            (named_eq Bitvec.equal c_out e_out
-            && named_eq Bitvec.equal c_out s_out)
-        then
+            "cycle counts diverged (compiled %d, reference %d) on:\n%s"
+            c_cyc r_cyc src
+        else if not (named_eq Bitvec.equal c_out r_out) then
           QCheck.Test.fail_reportf
             "outputs diverged between netlist engines on:\n%s\ninputs %d,%d"
             src a b
-        else if c_vcd <> e_vcd || s_vcd <> e_vcd then
+        else if c_vcd <> r_vcd then
           QCheck.Test.fail_reportf
             "probe change streams diverged between netlist engines on:\n\
              %s\ninputs %d,%d"
@@ -254,5 +271,7 @@ let suite =
       Alcotest.test_case "FSMD engine reuse" `Quick test_fsmd_engine_reuse;
       Alcotest.test_case "netlist engine reset" `Quick
         test_netlist_engine_reset;
+      Alcotest.test_case "netlist wide fallback" `Quick
+        test_netlist_wide_fallback;
       QCheck_alcotest.to_alcotest prop_fsmd_compiled_equals_interpreter;
       QCheck_alcotest.to_alcotest prop_netlist_engines_agree ] )

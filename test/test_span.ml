@@ -306,7 +306,7 @@ let outcome run =
   | exception Asim.Timeout { tokens_fired; _ } -> Error (`Asim_timeout tokens_fired)
 
 let tracing_never_perturbs =
-  QCheck.Test.make ~count:25 ~name:"span-traced run = plain run (3 engines)"
+  QCheck.Test.make ~count:25 ~name:"span-traced run = plain run (both engines)"
     (QCheck.pair Test_random.arb_program
        (QCheck.pair QCheck.small_nat QCheck.small_nat))
     (fun (src, (a, b)) ->
@@ -326,7 +326,7 @@ let tracing_never_perturbs =
             in
             Span.finish tr;
             plain = traced)
-          [ Design.Compiled; Design.Event_driven; Design.Full_sweep ])
+          [ Design.Compiled; Design.Reference ])
 
 let suite =
   ( "span",
