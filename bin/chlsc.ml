@@ -856,14 +856,8 @@ let compare_cmd =
                   | Error _ -> None)
                 outcomes
             in
-            let agrees =
-              vectors <> []
-              && List.for_all2
-                   (fun observed exp ->
-                     exp <> None && observed = exp)
-                   results expected
-            in
-            if vectors <> [] && not agrees then mismatch := true;
+            let verdict = Chls.agreement ~expected results in
+            if verdict = Chls.Mismatch then mismatch := true;
             Metrics.set m (key "results")
               (Metrics.List
                  (List.map
@@ -871,8 +865,12 @@ let compare_cmd =
                       | Some v -> Metrics.Int v
                       | None -> Metrics.Null)
                     results));
-            if vectors <> [] then
-              Metrics.set_bool m (key "agrees") agrees;
+            (if vectors <> [] then
+               match verdict with
+               | Chls.No_reference ->
+                 Metrics.set_string m (key "reference") "unavailable"
+               | Chls.Agree | Chls.Mismatch ->
+                 Metrics.set_bool m (key "agrees") (verdict = Chls.Agree));
             let cycles_cell =
               join
                 (List.filter_map
@@ -925,9 +923,7 @@ let compare_cmd =
               cycles_cell;
               wall_cell;
               area_cell;
-              (if vectors = [] then "-"
-               else if agrees then "agree"
-               else "MISMATCH") ])
+              (if vectors = [] then "-" else Chls.agreement_name verdict) ])
         (Driver.compile_all ~backends session)
     in
     Printf.printf "%s -e %s%s\n\n" file entry
@@ -964,6 +960,12 @@ let compare_cmd =
     if !mismatch then begin
       Printf.eprintf "MISMATCH vs software semantics (see table)\n";
       exit 2
+    end;
+    if List.mem None expected then begin
+      (* partial outcome: a vector the oracle could not answer confirms
+         no design *)
+      Printf.eprintf "no reference value for some vector (see table)\n";
+      exit 3
     end
   in
   Cmd.v (Cmd.info "compare" ~doc)

@@ -580,7 +580,11 @@ let check_func ctx dialect ~total_uses (f : Ast.func) =
   go_block (Hashtbl.create 8 :: params) f.Ast.f_body;
   !diags
 
+(* Every diagnostic comes from a [par] block, so a program without one
+   needs no walk beyond the dialect summary's. *)
 let check_program ~(dialect : Dialect.t) (program : Ast.program) : diag list =
+  if not (Dialect.uses_par program) then []
+  else
   let ctx = { program; summaries = Hashtbl.create 16; call_stack = [] } in
   let total_uses = program_chan_uses ctx in
   List.concat_map (check_func ctx dialect ~total_uses) program.Ast.funcs

@@ -29,13 +29,14 @@ let compile ?(knobs = Backend.default_knobs) ?resources
   let resources =
     match resources with Some r -> r | None -> knobs.Backend.resources
   in
-  if Handelc.uses_concurrency program then
+  Backend.reject_if_illegal ~backend:"bachc" dialect program;
+  if Dialect.uses_concurrency program then
     (* The concurrent subset runs on the statement machine with scheduled
        block timing; Handel_sim provides it. *)
     Handelc.compile_with_policy ~backend_name:"bachc" ~dialect
       ~policy:`Scheduled ~knobs program ~entry
   else
-    Fsmd_common.build ~backend_name:"bachc" ~dialect ~pipeline ~knobs
+    Fsmd_common.build ~backend_name:"bachc" ~pipeline ~knobs
       ~schedule_block:(fun func blk ->
         Schedule.list_schedule func resources blk.Cir.instrs)
       program ~entry

@@ -58,12 +58,11 @@ let design ~backend ~name ~stats ~pass_trace fsmd : Design.t =
     stats;
     pass_trace }
 
-let build ~backend_name ~dialect ?(mem_forwarding = false) ?pipeline
+let build ~backend_name ?(mem_forwarding = false) ?pipeline
     ?(knobs = Backend.default_knobs)
     ~(schedule_block : Cir.func -> Cir.block -> Schedule.schedule)
     ?(extra_stats = fun (_ : Lower.result) (_ : Fsmd.t) -> [])
     (program : Ast.program) ~entry : Design.t =
-  Backend.reject_if_illegal ~backend:backend_name dialect program;
   let pipeline =
     match pipeline with
     | Some p -> p

@@ -1,5 +1,5 @@
-(** Shared plumbing for the FSMD-producing backends: dialect check, run
-    the declared pipeline through the pass manager, build the FSMD under
+(** Shared plumbing for the FSMD-producing backends: run the declared
+    pipeline through the pass manager, build the FSMD under
     the backend's scheduling policy, and wrap simulator + elaboration
     into a Design. *)
 
@@ -15,7 +15,7 @@ val design :
     domains.  Also used by the structural OCAPI front end. *)
 
 val build :
-  backend_name:string -> dialect:Dialect.t -> ?mem_forwarding:bool ->
+  backend_name:string -> ?mem_forwarding:bool ->
   ?pipeline:Passes.pipeline -> ?knobs:Backend.knobs ->
   schedule_block:(Cir.func -> Cir.block -> Schedule.schedule) ->
   ?extra_stats:(Lower.result -> Fsmd.t -> (string * string) list) ->
@@ -24,4 +24,4 @@ val build :
     (default {!Backend.default_knobs}) supplies the per-compile pass
     options and specializes the pipeline ({!Backend.specialize});
     resource bounds stay the caller's business — close [schedule_block]
-    over [knobs.resources]. *)
+    over [knobs.resources].  Legality is checked by the caller. *)

@@ -572,36 +572,10 @@ let estimate_area (program : Ast.program) =
 
 (* --- Design wrappers --------------------------------------------------- *)
 
-(* Whether any function uses par arms or channel rendezvous — the
-   constructs only the statement machine executes.  Every backend whose
-   dialect allows them (Bach C, SpecC, SystemC, HardwareC) consults this
-   to decide between its scheduled-FSMD path and the machine here. *)
-let uses_concurrency (program : Ast.program) =
-  List.exists
-    (fun f ->
-      Ast.exists_stmt
-        (fun st ->
-          match st.Ast.s with
-          | Ast.Par _ | Ast.Chan_send _ -> true
-          | Ast.Expr _ | Ast.Decl _ | Ast.If _ | Ast.While _ | Ast.Do_while _
-          | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue
-          | Ast.Block _ | Ast.Delay | Ast.Constrain _ -> false)
-        f
-      || Ast.exists_expr
-           (fun e ->
-             match e.Ast.e with
-             | Ast.Chan_recv _ -> true
-             | Ast.Const _ | Ast.Var _ | Ast.Unop _ | Ast.Binop _
-             | Ast.Assign _ | Ast.Cond _ | Ast.Call _ | Ast.Index _
-             | Ast.Deref _ | Ast.Addr_of _ | Ast.Cast _ -> false)
-           f)
-    program.Ast.funcs
-
 let compile_with_policy ~backend_name ~dialect ~policy
     ?(program_passes : Passes.program_pass list = [])
     ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry :
     Design.t =
-  Backend.reject_if_illegal ~backend:backend_name dialect program;
   let options = knobs.Backend.pass_options in
   let policy =
     match policy with
@@ -666,22 +640,8 @@ let compile_with_policy ~backend_name ~dialect ~policy
      through the pass manager (cheap, and a Lower failure becomes a
      visible diagnostic instead of a silently absent view); FSMD
      construction and netlist elaboration stay lazy. *)
-  let is_concurrent =
-    List.exists
-      (fun f ->
-        Ast.exists_stmt
-          (fun st ->
-            match st.Ast.s with
-            | Ast.Par _ | Ast.Chan_send _ -> true
-            | Ast.Expr _ | Ast.Decl _ | Ast.If _ | Ast.While _
-            | Ast.Do_while _ | Ast.For _ | Ast.Return _ | Ast.Break
-            | Ast.Continue | Ast.Block _ | Ast.Delay | Ast.Constrain _ ->
-              false)
-          f)
-      program.Ast.funcs
-  in
   let lowered_view =
-    if is_concurrent then
+    if Dialect.uses_concurrency program then
       Error "concurrent program (par/channels): statement machine only"
     else
       match
@@ -745,11 +705,13 @@ let pipeline =
     ~func_passes:[ Passes.simplify_pass ]
 
 let compile ?knobs (program : Ast.program) ~entry : Design.t =
+  Backend.reject_if_illegal ~backend:"handelc" dialect program;
   compile_with_policy ~backend_name:"handelc" ~dialect
     ~policy:`One_per_assignment ?knobs program ~entry
 
 (** E4 recoding: fuse single-use temporaries first, saving their cycles. *)
 let compile_fused (program : Ast.program) ~entry : Design.t =
+  Backend.reject_if_illegal ~backend:"handelc" dialect program;
   compile_with_policy ~backend_name:"handelc" ~dialect
     ~policy:`One_per_assignment
     ~program_passes:[ Passes.fuse_temps_pass ] program ~entry

@@ -37,12 +37,6 @@ val estimate_clock_period : Ast.program -> float
 val estimate_area : Ast.program -> float
 (** Dedicated hardware per static assignment plus variable registers. *)
 
-val uses_concurrency : Ast.program -> bool
-(** Any [par] arm or channel operation anywhere in the program — the
-    constructs only the statement machine executes.  Backends whose
-    dialect allows them route such programs here instead of their
-    scheduled-FSMD path. *)
-
 val compile_with_policy :
   backend_name:string -> dialect:Dialect.t ->
   policy:[ `One_per_assignment | `Scheduled ] ->
@@ -53,7 +47,9 @@ val compile_with_policy :
     the transformed program.  [knobs] (default {!Backend.default_knobs})
     supplies the per-compile pass options and the unroll factor.  When
     the sequential structural view cannot be lowered, the reason appears
-    as a ["structural view"] diagnostic in the design's stats. *)
+    as a ["structural view"] diagnostic in the design's stats.  [dialect]
+    sets the concurrency checker's severities; legality is not checked
+    here but at the caller's entry point, once. *)
 
 val dialect : Dialect.t
 

@@ -34,7 +34,7 @@ let compile ?(knobs = Backend.default_knobs) ?resources
     match resources with Some r -> r | None -> knobs.Backend.resources
   in
   Backend.reject_if_illegal ~backend:"hardwarec" dialect program;
-  if Handelc.uses_concurrency program then
+  if Dialect.uses_concurrency program then
     (* HardwareC's process-level parallelism and message passing run on
        the statement machine; the allocation lattice and constraint
        exploration only apply to the scheduled sequential path, so the

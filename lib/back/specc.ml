@@ -74,14 +74,14 @@ let refine ?(knobs = Backend.default_knobs) (program : Ast.program) ~entry
       let r = spec_result v in
       record Specification v r r None)
     test_vectors;
-  let concurrent = Handelc.uses_concurrency program in
+  let concurrent = Dialect.uses_concurrency program in
   (* Level 2: architecture — scheduled design *)
   let arch_design =
     if concurrent then
       Handelc.compile_with_policy ~backend_name:"specc-arch" ~dialect
         ~policy:`Scheduled ~knobs program ~entry
     else
-      Fsmd_common.build ~backend_name:"specc-arch" ~dialect ~pipeline ~knobs
+      Fsmd_common.build ~backend_name:"specc-arch" ~pipeline ~knobs
         ~schedule_block:(fun func blk ->
           Schedule.list_schedule func knobs.Backend.resources blk.Cir.instrs)
         program ~entry

@@ -219,7 +219,7 @@ let compile ?(knobs = Backend.default_knobs) ?resources
     match resources with Some r -> r | None -> knobs.Backend.resources
   in
   Backend.reject_if_illegal ~backend:"systemc" Dialect.systemc program;
-  if Handelc.uses_concurrency program then
+  if Dialect.uses_concurrency program then
     (* Process-level par/channels are not representable in the
        sequential CIR lowering; SystemC's process network semantics run
        on the statement machine with compiler-packed cycles, like the

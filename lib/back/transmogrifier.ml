@@ -27,7 +27,8 @@ let unrolled_pipeline =
     ~func_passes:[ Passes.simplify_pass ]
 
 let compile ?knobs (program : Ast.program) ~entry : Design.t =
-  Fsmd_common.build ~backend_name:"transmogrifier" ~dialect
+  Backend.reject_if_illegal ~backend:"transmogrifier" dialect program;
+  Fsmd_common.build ~backend_name:"transmogrifier"
     ~mem_forwarding:true ~pipeline ?knobs
     ~schedule_block:Fsmd.transmogrifier_schedule program ~entry
 
@@ -35,7 +36,8 @@ let compile ?knobs (program : Ast.program) ~entry : Design.t =
     trades one state's combinational depth for fewer cycles — the recoding
     the paper describes. *)
 let compile_unrolled (program : Ast.program) ~entry : Design.t =
-  Fsmd_common.build ~backend_name:"transmogrifier" ~dialect
+  Backend.reject_if_illegal ~backend:"transmogrifier" dialect program;
+  Fsmd_common.build ~backend_name:"transmogrifier"
     ~mem_forwarding:true ~pipeline:unrolled_pipeline
     ~schedule_block:Fsmd.transmogrifier_schedule program ~entry
 

@@ -54,6 +54,21 @@ let verify_against_reference design source ~entry ~arg_sets =
       { vector = args; expected; observed; agrees = observed = Some expected })
     arg_sets
 
+type agreement = Agree | Mismatch | No_reference
+
+(* A vector without a reference value can neither confirm nor refute a
+   design, so it counts only when no vector that has one disagrees. *)
+let agreement ~expected observed =
+  if List.exists2 (fun o e -> e <> None && o <> e) observed expected then
+    Mismatch
+  else if List.mem None expected then No_reference
+  else Agree
+
+let agreement_name = function
+  | Agree -> "agree"
+  | Mismatch -> "MISMATCH"
+  | No_reference -> "no-ref"
+
 (* --- the paper's Table 1, regenerated --- *)
 
 let render_table1 () =

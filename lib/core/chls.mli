@@ -56,6 +56,19 @@ val verify_against_reference :
   verification list
 (** Check a design against the software semantics on argument vectors. *)
 
+type agreement = Agree | Mismatch | No_reference
+
+val agreement : expected:int option list -> int option list -> agreement
+(** [agreement ~expected observed] judges one design's results per
+    vector against the oracle's ([None]: no value — the oracle ran out of
+    budget or the entry returns void; the run timed out).  [Mismatch] if
+    a vector with a reference value differs, else [No_reference] if some
+    vector lacks one, else [Agree].  The rule of [chlsc compare] and
+    serve's [compare] op.  @raise Invalid_argument on unequal lengths. *)
+
+val agreement_name : agreement -> string
+(** The oracle cell: ["agree"], ["MISMATCH"] or ["no-ref"]. *)
+
 val render_table1 : unit -> string
 (** The paper's Table 1, regenerated from the dialect registry; column
     widths are computed from the data, so no cell is truncated. *)

@@ -154,10 +154,11 @@ let miss t kind =
 (* The configuration is part of the compile's identity — resource
    bounds, unroll factor, verify vectors and dump hooks all change what
    the backend produces or does — so its digest joins the content hash.
-   Distinct config points are distinct cached designs, on disk too. *)
-let design_key t backend config =
+   Distinct config points are distinct cached designs, on disk too.  The
+   digest is lazy, and one [compile_all] shares it across backends. *)
+let design_key t backend config_digest =
   Printf.sprintf "%s|%s|%s|%s" t.digest (Registry.name backend) t.entry
-    (Config.digest config)
+    (Lazy.force config_digest)
 
 (* --- the frontend, exactly once per session --- *)
 
@@ -215,7 +216,7 @@ let emit_pass_spans ctx ~at (trace : Passes.trace) =
         ("pass:" ^ r.Passes.pass_name))
     trace
 
-let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
+let compile_digested ~ctx ~config config_digest t backend =
   match program ~ctx t with
   | Error e -> Error e
   | Ok prog ->
@@ -238,7 +239,7 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
         Span.span ctx "backend"
           ~attrs:[ ("backend", Metrics.String name) ]
           (fun sctx ->
-        let key = design_key t backend config in
+        let key = design_key t backend config_digest in
         match Cache.find design_cache key with
         | Some (design, `Front) ->
           hit t "design";
@@ -315,11 +316,15 @@ let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
           r)
     end
 
-let compile_all ?ctx ?config ?backends t =
+let compile ?(ctx = Span.null) ?(config = Config.default) t backend =
+  compile_digested ~ctx ~config (lazy (Config.digest config)) t backend
+
+let compile_all ?(ctx = Span.null) ?(config = Config.default) ?backends t =
   let backends =
     match backends with Some bs -> bs | None -> Registry.all ()
   in
-  List.map (fun b -> (b, compile ?ctx ?config t b)) backends
+  let digest = lazy (Config.digest config) in
+  List.map (fun b -> (b, compile_digested ~ctx ~config digest t b)) backends
 
 let reference ?(ctx = Span.null) t ~args =
   Span.span ctx "oracle"

@@ -560,13 +560,8 @@ let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
                     | `Timeout _ -> None)
                   outcomes
               in
-              let agrees =
-                vectors <> []
-                && List.for_all2
-                     (fun observed exp -> exp <> None && observed = exp)
-                     results expected
-              in
-              if vectors <> [] && not agrees then mismatch := true;
+              let verdict = Chls.agreement ~expected results in
+              if verdict = Chls.Mismatch then mismatch := true;
               Metrics.Obj
                 ([ ("backend", Metrics.String name);
                    ("status", Metrics.String "ok");
@@ -578,8 +573,12 @@ let handle_compare sessions ~ctx ~id ~source ~entry ~backends ~vectors
                             | None -> Metrics.Null)
                           results) ) ]
                 @
-                if vectors = [] then []
-                else [ ("agrees", Metrics.Bool agrees) ]))
+                match verdict with
+                | _ when vectors = [] -> []
+                | Chls.No_reference ->
+                  [ ("reference", Metrics.String "unavailable") ]
+                | Chls.Agree | Chls.Mismatch ->
+                  [ ("agrees", Metrics.Bool (verdict = Chls.Agree)) ]))
           (Driver.compile_all ~ctx ?config ~backends s)
       in
       Metrics.Obj

@@ -146,10 +146,3 @@ let exists_stmt pred func =
   iter_func ~stmt:(fun s -> if pred s then found := true) ~expr:(fun _ -> ())
     func;
   !found
-
-(** True if any expression of [func] satisfies [pred]. *)
-let exists_expr pred func =
-  let found = ref false in
-  iter_func ~stmt:(fun _ -> ()) ~expr:(fun e -> if pred e then found := true)
-    func;
-  !found

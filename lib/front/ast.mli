@@ -96,4 +96,3 @@ val iter_stmt : stmt:(stmt -> unit) -> expr:(expr -> unit) -> stmt -> unit
 val iter_func : stmt:(stmt -> unit) -> expr:(expr -> unit) -> func -> unit
 
 val exists_stmt : (stmt -> bool) -> func -> bool
-val exists_expr : (expr -> bool) -> func -> bool

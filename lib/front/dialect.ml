@@ -163,13 +163,6 @@ type violation = { rule : string; where : string; vloc : Ast.loc }
 (* [vloc] pins the offending statement or expression when the checker
    saw one ([Ast.no_loc] for program-level rules like recursion). *)
 
-let pointer_expr (e : Ast.expr) =
-  match e.e with
-  | Ast.Deref _ | Ast.Addr_of _ -> true
-  | Ast.Const _ | Ast.Var _ | Ast.Unop _ | Ast.Binop _ | Ast.Assign _
-  | Ast.Cond _ | Ast.Call _ | Ast.Index _ | Ast.Cast _ | Ast.Chan_recv _ ->
-    false
-
 let rec uses_pointer_type = function
   | Ctypes.Pointer _ -> true
   | Ctypes.Array (t, _) -> uses_pointer_type t
@@ -177,163 +170,156 @@ let rec uses_pointer_type = function
     uses_pointer_type ret || List.exists uses_pointer_type params
   | Ctypes.Void | Ctypes.Integer _ -> false
 
+(* What one function uses of the constructs some dialect forbids: the
+   first offender of each kind in [Ast.iter_func] order, so a violation
+   can carry a location rather than just the function name.  Filled by
+   one walk and never mutated after. *)
+type features = {
+  fname : string;
+  mutable pointer_expr : Ast.loc option;
+  mutable pointer_decl : Ast.loc option;
+  mutable unbounded_loop : Ast.loc option;
+  mutable par : Ast.loc option;
+  mutable chan_stmt : Ast.loc option;
+  mutable chan_expr : Ast.loc option;
+  mutable constrain : Ast.loc option;
+  mutable delay : Ast.loc option;
+  mutable calls : string list;
+}
+
+let features_of (f : Ast.func) =
+  let r =
+    { fname = f.Ast.f_name; pointer_expr = None; pointer_decl = None;
+      unbounded_loop = None; par = None; chan_stmt = None; chan_expr = None;
+      constrain = None; delay = None; calls = [] }
+  in
+  Ast.iter_func
+    ~stmt:(fun st ->
+      let loc = st.Ast.sloc in
+      match st.Ast.s with
+      | Ast.Decl (ty, _, _) ->
+        if r.pointer_decl = None && uses_pointer_type ty then
+          r.pointer_decl <- Some loc
+      | Ast.While _ | Ast.Do_while _ ->
+        if r.unbounded_loop = None then r.unbounded_loop <- Some loc
+      | Ast.For (init, cond, step, _) ->
+        (* Bounded form: for (int i = c0; i <relop> c1; i = i +/- c2) *)
+        if
+          r.unbounded_loop = None
+          && not (Loopform.is_statically_bounded ~init ~cond ~step)
+        then r.unbounded_loop <- Some loc
+      | Ast.Par _ -> if r.par = None then r.par <- Some loc
+      | Ast.Chan_send _ -> if r.chan_stmt = None then r.chan_stmt <- Some loc
+      | Ast.Constrain _ -> if r.constrain = None then r.constrain <- Some loc
+      | Ast.Delay -> if r.delay = None then r.delay <- Some loc
+      | Ast.Expr _ | Ast.If _ | Ast.Return _ | Ast.Break | Ast.Continue
+      | Ast.Block _ -> ())
+    ~expr:(fun e ->
+      match e.Ast.e with
+      | Ast.Deref _ | Ast.Addr_of _ ->
+        if r.pointer_expr = None then r.pointer_expr <- Some e.Ast.eloc
+      | Ast.Chan_recv _ ->
+        if r.chan_expr = None then r.chan_expr <- Some e.Ast.eloc
+      | Ast.Call (name, _) -> r.calls <- name :: r.calls
+      | Ast.Const _ | Ast.Var _ | Ast.Unop _ | Ast.Binop _ | Ast.Assign _
+      | Ast.Cond _ | Ast.Index _ | Ast.Cast _ -> ())
+    f;
+  r
+
 (* Direct or mutual recursion via the static call graph. *)
-let recursive_functions (p : Ast.program) =
-  let calls f =
-    let acc = ref [] in
-    Ast.iter_func
-      ~stmt:(fun _ -> ())
-      ~expr:(fun e ->
-        match e.Ast.e with
-        | Ast.Call (name, _) -> acc := name :: !acc
-        | Ast.Const _ | Ast.Var _ | Ast.Unop _ | Ast.Binop _ | Ast.Assign _
-        | Ast.Cond _ | Ast.Index _ | Ast.Deref _ | Ast.Addr_of _ | Ast.Cast _
-        | Ast.Chan_recv _ -> ())
-      f;
-    !acc
+let recursive_of (funcs : features list) =
+  let calls = Hashtbl.create 16 in
+  List.iter (fun ff -> Hashtbl.replace calls ff.fname ff.calls) funcs;
+  let callees f = Option.value ~default:[] (Hashtbl.find_opt calls f) in
+  let rec reach seen f =
+    if List.mem f seen then seen
+    else List.fold_left reach (f :: seen) (callees f)
   in
-  let reaches =
-    Hashtbl.create 16 (* function -> set of functions reachable *)
-  in
-  List.iter (fun f -> Hashtbl.replace reaches f.Ast.f_name (calls f)) p.funcs;
-  let rec reachable_from seen name =
-    if List.mem name seen then seen
-    else
-      let direct =
-        match Hashtbl.find_opt reaches name with Some l -> l | None -> []
-      in
-      List.fold_left reachable_from (name :: seen) direct
-  in
-  List.filter
-    (fun f ->
-      let self = f.Ast.f_name in
-      let direct =
-        match Hashtbl.find_opt reaches self with Some l -> l | None -> []
-      in
-      List.exists (fun callee -> List.mem self (reachable_from [] callee))
-        direct)
-    p.funcs
-  |> List.map (fun f -> f.Ast.f_name)
+  List.filter_map
+    (fun { fname; _ } ->
+      if List.exists (fun c -> List.mem fname (reach [] c)) (callees fname)
+      then Some fname
+      else None)
+    funcs
+
+(* Everything every dialect's rules ask of one program, per function in
+   program order, plus the program-level facts. *)
+type summary = {
+  funcs : features list;
+  pointer_globals : string list;
+  recursive : string list;
+}
+
+let summarize (p : Ast.program) =
+  let funcs = List.map features_of p.Ast.funcs in
+  { funcs;
+    pointer_globals =
+      List.filter_map
+        (fun (g : Ast.global) ->
+          if uses_pointer_type g.Ast.g_ty then Some g.Ast.g_name else None)
+        p.Ast.globals;
+    recursive = recursive_of funcs }
+
+(* The last program summarized, keyed by physical identity: a compare
+   checks one parsed program against every backend's dialect (in the
+   driver, again inside each backend, and in the concurrency checker),
+   and all of them share one walk.  An atomic slot of an immutable pair
+   is safe across domains and keeps at most one program alive.  The key
+   is sound because a summary reads no mutable part of the AST (the
+   only one, [Ast.expr.ty], is written by the type checker). *)
+let last : (Ast.program * summary) option Atomic.t = Atomic.make None
+
+let summary p =
+  match Atomic.get last with
+  | Some (q, s) when q == p -> s
+  | Some _ | None ->
+    let s = summarize p in
+    Atomic.set last (Some (p, s));
+    s
+
+let uses_par p = List.exists (fun ff -> ff.par <> None) (summary p).funcs
+
+let uses_concurrency p =
+  List.exists
+    (fun ff -> ff.par <> None || ff.chan_stmt <> None || ff.chan_expr <> None)
+    (summary p).funcs
 
 (** Check a (type-checked) program against a dialect's restrictions.
     Returns the list of violations; empty means the program is legal. *)
-(* First statement/expression of [f] satisfying [pred], so a violation
-   can carry the offending location rather than just the function name. *)
-let first_stmt pred f =
-  let found = ref None in
-  Ast.iter_func
-    ~stmt:(fun s -> if !found = None && pred s then found := Some s)
-    ~expr:(fun _ -> ())
-    f;
-  !found
-
-let first_expr pred f =
-  let found = ref None in
-  Ast.iter_func
-    ~stmt:(fun _ -> ())
-    ~expr:(fun e -> if !found = None && pred e then found := Some e)
-    f;
-  !found
-
 let check dialect (p : Ast.program) : violation list =
+  let s = summary p in
   let violations = ref [] in
   let add ?(loc = Ast.no_loc) rule where =
     violations := { rule; where; vloc = loc } :: !violations
   in
-  let check_func (f : Ast.func) =
-    let where = f.Ast.f_name in
-    (* one violation per (rule, function), located at the first offender *)
-    let stmt_rule pred rule =
-      match first_stmt pred f with
-      | Some st -> add ~loc:st.Ast.sloc rule where
-      | None -> ()
-    in
-    if not dialect.allows_pointers then begin
-      (match first_expr pointer_expr f with
-      | Some e ->
-        add ~loc:e.Ast.eloc (dialect.name ^ " forbids pointer operations")
-          where
-      | None -> ());
-      stmt_rule
-        (fun st ->
-          match st.Ast.s with
-          | Ast.Decl (ty, _, _) -> uses_pointer_type ty
-          | Ast.Expr _ | Ast.If _ | Ast.While _ | Ast.Do_while _
-          | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _
-          | Ast.Par _ | Ast.Chan_send _ | Ast.Delay | Ast.Constrain _ ->
-            false)
-        (dialect.name ^ " forbids pointer-typed variables")
-    end;
-    if not dialect.allows_unbounded_loops then
-      stmt_rule
-        (fun st ->
-          match st.Ast.s with
-          | Ast.While _ | Ast.Do_while _ -> true
-          | Ast.For (init, cond, step, _) ->
-            (* Bounded form: for (int i = c0; i <relop> c1; i = i +/- c2) *)
-            not (Loopform.is_statically_bounded ~init ~cond ~step)
-          | Ast.Expr _ | Ast.Decl _ | Ast.If _ | Ast.Return _ | Ast.Break
-          | Ast.Continue | Ast.Block _ | Ast.Par _ | Ast.Chan_send _
-          | Ast.Delay | Ast.Constrain _ -> false)
-        (dialect.name ^ " requires statically bounded loops");
-    if not dialect.allows_par then
-      stmt_rule
-        (fun st ->
-          match st.Ast.s with
-          | Ast.Par _ -> true
-          | Ast.Expr _ | Ast.Decl _ | Ast.If _ | Ast.While _ | Ast.Do_while _
-          | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _
-          | Ast.Chan_send _ | Ast.Delay | Ast.Constrain _ -> false)
-        (dialect.name ^ " has no parallel construct");
-    if not dialect.allows_channels then begin
-      let uses_chan_stmt (st : Ast.stmt) =
-        match st.Ast.s with
-        | Ast.Chan_send _ -> true
-        | Ast.Expr _ | Ast.Decl _ | Ast.If _ | Ast.While _ | Ast.Do_while _
-        | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _
-        | Ast.Par _ | Ast.Delay | Ast.Constrain _ -> false
-      and uses_chan_expr (e : Ast.expr) =
-        match e.Ast.e with
-        | Ast.Chan_recv _ -> true
-        | Ast.Const _ | Ast.Var _ | Ast.Unop _ | Ast.Binop _ | Ast.Assign _
-        | Ast.Cond _ | Ast.Call _ | Ast.Index _ | Ast.Deref _ | Ast.Addr_of _
-        | Ast.Cast _ -> false
+  List.iter
+    (fun ff ->
+      (* one violation per (rule, function), located at the first
+         offender *)
+      let rule allowed found what =
+        match found with
+        | Some loc when not allowed -> add ~loc (dialect.name ^ what) ff.fname
+        | Some _ | None -> ()
       in
-      match (first_stmt uses_chan_stmt f, first_expr uses_chan_expr f) with
-      | Some st, _ ->
-        add ~loc:st.Ast.sloc (dialect.name ^ " has no channels") where
-      | None, Some e ->
-        add ~loc:e.Ast.eloc (dialect.name ^ " has no channels") where
-      | None, None -> ()
-    end;
-    if not dialect.allows_constrain then
-      stmt_rule
-        (fun st ->
-          match st.Ast.s with
-          | Ast.Constrain _ -> true
-          | Ast.Expr _ | Ast.Decl _ | Ast.If _ | Ast.While _ | Ast.Do_while _
-          | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _
-          | Ast.Par _ | Ast.Chan_send _ | Ast.Delay -> false)
-        (dialect.name ^ " has no timing constraints");
-    if not dialect.allows_delay then
-      stmt_rule
-        (fun st ->
-          match st.Ast.s with
-          | Ast.Delay -> true
-          | Ast.Expr _ | Ast.Decl _ | Ast.If _ | Ast.While _ | Ast.Do_while _
-          | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _
-          | Ast.Par _ | Ast.Chan_send _ | Ast.Constrain _ -> false)
-        (dialect.name ^ " has no delay statement")
-  in
-  List.iter check_func p.funcs;
+      rule dialect.allows_pointers ff.pointer_expr
+        " forbids pointer operations";
+      rule dialect.allows_pointers ff.pointer_decl
+        " forbids pointer-typed variables";
+      rule dialect.allows_unbounded_loops ff.unbounded_loop
+        " requires statically bounded loops";
+      rule dialect.allows_par ff.par " has no parallel construct";
+      rule dialect.allows_channels
+        (if ff.chan_stmt <> None then ff.chan_stmt else ff.chan_expr)
+        " has no channels";
+      rule dialect.allows_constrain ff.constrain " has no timing constraints";
+      rule dialect.allows_delay ff.delay " has no delay statement")
+    s.funcs;
   if not dialect.allows_pointers then
     List.iter
-      (fun (g : Ast.global) ->
-        if uses_pointer_type g.Ast.g_ty then
-          add (dialect.name ^ " forbids pointer-typed globals") g.Ast.g_name)
-      p.globals;
+      (fun g -> add (dialect.name ^ " forbids pointer-typed globals") g)
+      s.pointer_globals;
   if not dialect.allows_recursion then
     List.iter
       (fun name -> add (dialect.name ^ " forbids recursion") name)
-      (recursive_functions p);
+      s.recursive;
   List.rev !violations

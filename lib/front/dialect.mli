@@ -62,9 +62,16 @@ type violation = { rule : string; where : string; vloc : Ast.loc }
     statement or expression ([Ast.no_loc] for program-level rules such
     as recursion). *)
 
-val recursive_functions : Ast.program -> string list
-(** Functions involved in direct or mutual recursion. *)
-
 val check : t -> Ast.program -> violation list
 (** Check a type-checked program against a dialect's restrictions; an
-    empty list means the program is legal in that language. *)
+    empty list means the program is legal in that language.  It and the
+    two queries below read one per-program summary (one walk of each
+    function), memoized for the last program asked about by physical
+    identity, so checking a program against every dialect walks it once. *)
+
+val uses_par : Ast.program -> bool
+(** Any [par] block in any function. *)
+
+val uses_concurrency : Ast.program -> bool
+(** Any [par] block or channel operation: the constructs only the
+    statement machine executes. *)

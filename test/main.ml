@@ -1,6 +1,6 @@
 let () =
   Alcotest.run "chls"
-    [ Test_bitvec.suite; Test_front.suite; Test_front_edge.suite; Test_interp.suite; Test_interp_edge.suite; Test_ir.suite; Test_ssa.suite;
+    [ Test_bitvec.suite; Test_front.suite; Test_dialect.suite; Test_front_edge.suite; Test_interp.suite; Test_interp_edge.suite; Test_ir.suite; Test_ssa.suite;
       Test_backends.suite; Test_sched.suite; Test_flow.suite; Test_rtl.suite;
       Test_workloads.suite; Test_ifconv.suite; Test_c2v.suite; Test_facade.suite;
       Test_passes.suite; Test_random.suite; Test_simcomp.suite; Test_obs.suite;

@@ -129,18 +129,77 @@ let test_compile_all_declared_order () =
        (fun (b, _) -> Registry.name b)
        (Driver.compile_all ~backends:subset s))
 
+let agreement =
+  Alcotest.testable
+    (fun ppf a -> Fmt.string ppf (Chls.agreement_name a))
+    ( = )
+
+(* The oracle rule shared by [chlsc compare] and serve's compare op: a
+   vector the oracle cannot answer neither confirms nor refutes, and a
+   disagreement on a vector it can answer always wins. *)
+let test_agreement_rule () =
+  let judge expected observed = Chls.agreement ~expected observed in
+  Alcotest.check agreement "all answered and equal" Chls.Agree
+    (judge [ Some 1; Some 2 ] [ Some 1; Some 2 ]);
+  Alcotest.check agreement "one answered vector differs" Chls.Mismatch
+    (judge [ Some 1; Some 2 ] [ Some 1; Some 3 ]);
+  Alcotest.check agreement "a hardware timeout on an answered vector"
+    Chls.Mismatch
+    (judge [ Some 1 ] [ None ]);
+  Alcotest.check agreement "no reference, nothing to refute"
+    Chls.No_reference
+    (judge [ None; Some 2 ] [ None; Some 2 ]);
+  Alcotest.check agreement "a mismatch elsewhere beats no reference"
+    Chls.Mismatch
+    (judge [ None; Some 2 ] [ Some 7; Some 3 ]);
+  Alcotest.(check (list string)) "oracle cells"
+    [ "agree"; "MISMATCH"; "no-ref" ]
+    (List.map Chls.agreement_name
+       [ Chls.Agree; Chls.Mismatch; Chls.No_reference ]);
+  (* a void entry: the oracle has no value, and no design is refuted *)
+  let s = Driver.create ~entry:"f" "int g; void f(int x) { g = x + 1; }" in
+  let expected =
+    [ (match Driver.reference s ~args:[ 3 ] with
+      | Ok v -> Alcotest.failf "void entry returned %d" v
+      | Error _ -> None) ]
+  in
+  let compiled =
+    List.filter_map
+      (fun (b, verdict) ->
+        match verdict with
+        | Error _ -> None
+        | Ok design ->
+          let observed =
+            match Driver.run design [ 3 ] with
+            | Ok r -> Option.map Bitvec.to_int r.Design.result
+            | Error _ -> None
+          in
+          Some (Registry.name b, Chls.agreement ~expected [ observed ]))
+      (Driver.compile_all s)
+  in
+  Alcotest.(check bool) "some backend compiles a void entry" true
+    (compiled <> []);
+  List.iter
+    (fun (name, a) ->
+      Alcotest.check agreement (name ^ " on a void entry") Chls.No_reference a)
+    compiled
+
 (* A kernel that never terminates: every layer must end in a typed
-   result, never an escaped budget exception. *)
+   result, never an escaped budget exception, and compare's oracle cell
+   says the reference had no answer rather than that the design is
+   wrong. *)
 let test_nonterminating_kernel () =
   let s =
     Driver.create ~entry:"spin"
       "int spin(int x) { while (x != -1) { x = x + 2; x = x - 2; } \
        return x; }"
   in
-  (match Driver.reference s ~args:[ 3 ] with
-  | Error (Driver.Backend_error { backend = "reference"; _ }) -> ()
-  | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e)
-  | Ok v -> Alcotest.failf "spin returned %d" v);
+  let expected =
+    match Driver.reference s ~args:[ 3 ] with
+    | Error (Driver.Backend_error { backend = "reference"; _ }) -> [ None ]
+    | Error e -> Alcotest.fail ("wrong error: " ^ Driver.render_error e)
+    | Ok v -> Alcotest.failf "spin returned %d" v
+  in
   List.iter
     (fun (b, verdict) ->
       match verdict with
@@ -150,7 +209,10 @@ let test_nonterminating_kernel () =
         | Error t ->
           Alcotest.(check bool)
             (Registry.name b ^ " renders its timeout") true
-            (String.length (Driver.render_timeout t) > 0)
+            (String.length (Driver.render_timeout t) > 0);
+          Alcotest.(check string)
+            (Registry.name b ^ " oracle cell") "no-ref"
+            (Chls.agreement_name (Chls.agreement ~expected [ None ]))
         | Ok _ -> Alcotest.fail (Registry.name b ^ ": spin finished")))
     (Driver.compile_all s)
 
@@ -167,5 +229,6 @@ let suite =
       Alcotest.test_case "reference oracle" `Quick test_reference_oracle;
       Alcotest.test_case "compile_all verdict order is declared order"
         `Quick test_compile_all_declared_order;
+      Alcotest.test_case "oracle agreement rule" `Quick test_agreement_rule;
       Alcotest.test_case "non-terminating kernel ends typed" `Slow
         test_nonterminating_kernel ] )

@@ -255,6 +255,35 @@ let test_handle_compare_rows_in_registry_order () =
         "rows follow registry declaration order" (Registry.names ())
         row_names)
 
+(* A void entry gives the oracle nothing to compare against: rows say the
+   reference is unavailable instead of claiming a disagreement. *)
+let test_handle_compare_without_reference () =
+  with_pool ~domains:1 (fun pool ->
+      let resp =
+        handle pool
+          (Serve.Compare
+             { id = Metrics.Null;
+               source = "int g; void f(int x) { g = x + 1; }";
+               entry = "f";
+               backends = Some [ "bachc"; "handelc" ];
+               vectors = [ [ 3 ] ]; config = None })
+      in
+      Alcotest.(check bool) "ok" true (bool_member "ok" resp);
+      Alcotest.(check bool) "no mismatch" false (bool_member "mismatch" resp);
+      match member "backends" resp with
+      | Metrics.List rows ->
+        Alcotest.(check int) "one row per backend" 2 (List.length rows);
+        List.iter
+          (fun row ->
+            Alcotest.check json "reference unavailable"
+              (Metrics.String "unavailable")
+              (Option.value ~default:Metrics.Null
+                 (Serve.Json.member "reference" row));
+            Alcotest.(check bool) "no agrees field" true
+              (Serve.Json.member "agrees" row = None))
+          rows
+      | _ -> Alcotest.fail "backends must be a list")
+
 let test_handle_stats_and_internal_safety () =
   with_pool ~domains:1 (fun pool ->
       let resp = handle pool (Serve.Stats { id = Metrics.Int 5 }) in
@@ -341,6 +370,8 @@ let suite =
       Alcotest.test_case "typed error kinds" `Quick test_handle_typed_errors;
       Alcotest.test_case "compare rows in registry order" `Quick
         test_handle_compare_rows_in_registry_order;
+      Alcotest.test_case "compare without a reference value" `Quick
+        test_handle_compare_without_reference;
       Alcotest.test_case "stats response" `Quick
         test_handle_stats_and_internal_safety;
       Alcotest.test_case "pool batch with backpressure" `Quick
